@@ -17,12 +17,13 @@ import (
 // (removals, then additions) to the live corpus. The handler is
 // read-copy-update: it never mutates the corpus or index a concurrent
 // query may be reading. It derives a fresh (corpus, index) pair — the
-// index via Sharded.ApplyBatch, which rebuilds only the shards owning
-// touched graphs and shares every other shard's core with the old index —
-// and installs the pair atomically. In-flight queries finish against the
+// index via Sharded.ApplyBatch, which derives new cores for the shards
+// owning touched graphs from their previous ones (reading only the added
+// graphs) and shares every other shard's core with the old index — and
+// installs the pair atomically. In-flight queries finish against the
 // snapshot they started on; new queries see the update.
 //
-// Caches are NOT reset. ApplyBatch bumps the rebuilt shards' epochs, and
+// Caches are NOT reset. ApplyBatch bumps the touched shards' epochs, and
 // both caches key on epochs (qcache.ShardKey / qcache.EpochKey), so
 // entries that could have changed become unreachable while per-shard
 // partials for untouched shards keep hitting.
@@ -48,13 +49,13 @@ type updateResponse struct {
 	Removed int    `json:"removed"`
 	Graphs  int    `json:"graphs"`        // corpus size after the batch
 	Shards  int    `json:"shards"`        // total shard count
-	Rebuilt []int  `json:"rebuilt"`       // shards whose index was rebuilt
+	Rebuilt []int  `json:"rebuilt"`       // touched shards: core derived, epoch bumped
 	Millis  int64  `json:"millis"`        // wall-clock for apply+install
 	Seq     uint64 `json:"seq,omitempty"` // durable WAL sequence number (persistent servers only)
 }
 
 // applyValidatedLocked derives the next (corpus, index) pair from the
-// current one and installs it: the index via Sharded.ApplyBatch (rebuilds
+// current one and installs it: the index via Sharded.ApplyBatch (derives
 // only touched shards), the corpus mirrored with the same order
 // discipline — survivors keep their relative order, additions append — so
 // corpus positions agree with the index's global positions. Callers hold

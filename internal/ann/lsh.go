@@ -80,31 +80,30 @@ func (c *Config) defaults() {
 }
 
 // Index is an immutable LSH index over a vector set. Safe for
-// unsynchronized concurrent lookups; rebuild to change the indexed set.
+// unsynchronized concurrent lookups; Derive returns the index over a
+// changed set without modifying the receiver.
 type Index struct {
 	cfg     Config
 	dim     int
-	planes  [][]float32 // Tables*Bits hyperplanes, row (t*Bits + j)
+	planes  [][]float32 // Tables*Bits hyperplanes, row (t*Bits + j); shared across derived generations
 	mean    []float32   // hashing offset (nil when Center is off)
 	meanDot []float64   // precomputed plane·mean, by plane row
 	tables  []map[uint64][]int32
 	vecs    [][]float32 // indexed vectors, by id
 	norms   []float64   // precomputed L2 norms, by id
+	// proj holds each item's raw plane projections Dot(plane, v), by id
+	// then plane row. With them a derived generation re-centers and
+	// re-hashes every item without a dot product. A nil row (an item
+	// restored by BuildFromSignatures) is computed by the first Derive
+	// that keeps the item.
+	proj [][]float64
 }
 
-// Build indexes vecs (dimension dim; nil rows are treated as zero vectors
-// and indexed under their signature like any other). The vectors are held
-// by reference — treat them as immutable afterwards.
-func Build(vecs [][]float32, dim int, cfg Config) *Index {
+// New returns the empty index for (dim, cfg): the hyperplane family and
+// no items. Build, and every later generation, derive from it.
+func New(dim int, cfg Config) *Index {
 	cfg.defaults()
-	ix := &Index{
-		cfg:    cfg,
-		dim:    dim,
-		planes: make([][]float32, cfg.Tables*cfg.Bits),
-		tables: make([]map[uint64][]int32, cfg.Tables),
-		vecs:   vecs,
-		norms:  make([]float64, len(vecs)),
-	}
+	ix := &Index{cfg: cfg, dim: dim, planes: make([][]float32, cfg.Tables*cfg.Bits)}
 	// Hyperplanes: plane p's Gaussian components come from an RNG seeded by
 	// ChildSeed(Seed, p) — a pure function of (seed, p), so any worker
 	// layout generates the identical family.
@@ -116,43 +115,108 @@ func Build(vecs [][]float32, dim int, cfg Config) *Index {
 		}
 		ix.planes[p] = plane
 	})
-	if cfg.Center && len(vecs) > 0 {
+	nx := ix.next(nil)
+	nx.fill(nil, ix)
+	return nx
+}
+
+// Build indexes vecs (dimension dim): the empty index with every vector
+// added. The vectors are held by reference — treat them as immutable
+// afterwards.
+func Build(vecs [][]float32, dim int, cfg Config) *Index {
+	return New(dim, cfg).Derive(vecs, nil)
+}
+
+// next returns an index over vecs that shares the receiver's hyperplanes
+// and is centered on vecs; its norms, projections and tables are left
+// for the caller to fill.
+func (ix *Index) next(vecs [][]float32) *Index {
+	nx := &Index{
+		cfg:    ix.cfg,
+		dim:    ix.dim,
+		planes: ix.planes,
+		vecs:   vecs,
+		norms:  make([]float64, len(vecs)),
+		proj:   make([][]float64, len(vecs)),
+	}
+	if ix.cfg.Center && len(vecs) > 0 {
 		// Sequential accumulation in item order: deterministic float sums.
-		mean := make([]float64, dim)
+		mean := make([]float64, ix.dim)
 		for _, v := range vecs {
 			for d, x := range v {
 				mean[d] += float64(x)
 			}
 		}
-		ix.mean = make([]float32, dim)
+		nx.mean = make([]float32, ix.dim)
 		inv := 1 / float64(len(vecs))
 		for d := range mean {
-			ix.mean[d] = float32(mean[d] * inv)
+			nx.mean[d] = float32(mean[d] * inv)
 		}
-		ix.meanDot = make([]float64, len(ix.planes))
-		par.ForEachN(len(ix.planes), cfg.Workers, func(p int) {
-			ix.meanDot[p] = Dot(ix.planes[p], ix.mean)
+		nx.meanDot = make([]float64, len(nx.planes))
+		par.ForEachN(len(nx.planes), ix.cfg.Workers, func(p int) {
+			nx.meanDot[p] = Dot(nx.planes[p], nx.mean)
 		})
 	}
-	// Signatures are slot-indexed per item; buckets are then filled one
-	// table per task in ascending item order, so table contents are
+	return nx
+}
+
+// Derive returns the index over vecs, where row i < len(keep) is the
+// receiver's item keep[i] (the same vector) and the remaining rows are
+// new items. Kept items carry their norms and plane projections, so only
+// new items pay dot products; the mean, every signature and the buckets
+// are re-derived, because with Center the hashing offset depends on the
+// whole set. Signatures come from the same arithmetic as a fresh hash
+// (projection minus plane·mean, sign), so the result is byte-identical to
+// Build(vecs, dim, cfg). The receiver is not modified.
+func (ix *Index) Derive(vecs [][]float32, keep []int) *Index {
+	nx := ix.next(vecs)
+	for i, old := range keep {
+		nx.norms[i] = ix.norms[old]
+		nx.proj[i] = ix.proj[old]
+	}
+	// Per-item work is slot-indexed; buckets are then filled one table per
+	// task in ascending item order, so the tables are
 	// scheduling-independent.
-	sigs := par.Map(len(vecs), cfg.Workers, func(i int) []uint64 {
-		ix.norms[i] = Norm(vecs[i])
-		s := make([]uint64, cfg.Tables)
-		for t := 0; t < cfg.Tables; t++ {
-			s[t] = ix.signature(t, vecs[i], nil)
+	tables := nx.cfg.Tables
+	flat := make([]uint64, len(vecs)*tables)
+	sigs := make([][]uint64, len(vecs))
+	par.ForEachN(len(vecs), nx.cfg.Workers, func(i int) {
+		if i >= len(keep) {
+			nx.norms[i] = Norm(vecs[i])
 		}
-		return s
+		if nx.proj[i] == nil {
+			pr := make([]float64, len(nx.planes))
+			for p, plane := range nx.planes {
+				pr[p] = Dot(plane, vecs[i])
+			}
+			nx.proj[i] = pr
+		}
+		s := flat[i*tables : (i+1)*tables : (i+1)*tables]
+		for t := range s {
+			s[t] = nx.projSignature(t, nx.proj[i])
+		}
+		sigs[i] = s
 	})
-	par.ForEachN(cfg.Tables, cfg.Workers, func(t int) {
-		m := make(map[uint64][]int32)
+	nx.fill(sigs, ix)
+	return nx
+}
+
+// fill buckets every item per table, ascending by id. Each table's map is
+// presized to prev's bucket count: a derived generation's buckets are
+// mostly its predecessor's.
+func (ix *Index) fill(sigs [][]uint64, prev *Index) {
+	ix.tables = make([]map[uint64][]int32, ix.cfg.Tables)
+	par.ForEachN(ix.cfg.Tables, ix.cfg.Workers, func(t int) {
+		hint := 0
+		if t < len(prev.tables) {
+			hint = len(prev.tables[t])
+		}
+		m := make(map[uint64][]int32, hint)
 		for i, s := range sigs {
 			m[s[t]] = append(m[s[t]], int32(i))
 		}
 		ix.tables[t] = m
 	})
-	return ix
 }
 
 // Signatures returns every indexed item's per-table signature — row i is
@@ -181,7 +245,8 @@ func (ix *Index) Signatures() [][]uint64 {
 // are O(planes·dim) and O(n·dim) — but the n·Tables·Bits·dim hashing that
 // dominates Build is skipped, so reconstruction cost is bucket insertion.
 // Given the signatures Build would have produced for (vecs, dim, cfg),
-// the result is byte-identical to Build's.
+// the result is byte-identical to Build's. Plane projections are not
+// recomputed; a later Derive fills them for the items it keeps.
 //
 // Signatures are validated structurally (row count, table count, no bits
 // set past cfg.Bits); a semantically wrong signature cannot be detected
@@ -202,50 +267,12 @@ func BuildFromSignatures(vecs [][]float32, dim int, cfg Config, sigs [][]uint64)
 			}
 		}
 	}
-	ix := &Index{
-		cfg:    cfg,
-		dim:    dim,
-		planes: make([][]float32, cfg.Tables*cfg.Bits),
-		tables: make([]map[uint64][]int32, cfg.Tables),
-		vecs:   vecs,
-		norms:  make([]float64, len(vecs)),
-	}
-	par.ForEachN(len(ix.planes), cfg.Workers, func(p int) {
-		rng := rand.New(rand.NewSource(par.ChildSeed(cfg.Seed, p)))
-		plane := make([]float32, dim)
-		for d := range plane {
-			plane[d] = float32(rng.NormFloat64())
-		}
-		ix.planes[p] = plane
-	})
-	if cfg.Center && len(vecs) > 0 {
-		mean := make([]float64, dim)
-		for _, v := range vecs {
-			for d, x := range v {
-				mean[d] += float64(x)
-			}
-		}
-		ix.mean = make([]float32, dim)
-		inv := 1 / float64(len(vecs))
-		for d := range mean {
-			ix.mean[d] = float32(mean[d] * inv)
-		}
-		ix.meanDot = make([]float64, len(ix.planes))
-		par.ForEachN(len(ix.planes), cfg.Workers, func(p int) {
-			ix.meanDot[p] = Dot(ix.planes[p], ix.mean)
-		})
-	}
+	empty := New(dim, cfg)
+	ix := empty.next(vecs)
 	for i, v := range vecs {
 		ix.norms[i] = Norm(v)
 	}
-	par.ForEachN(cfg.Tables, cfg.Workers, func(t int) {
-		m := make(map[uint64][]int32)
-		for i := range sigs {
-			s := sigs[i][t]
-			m[s] = append(m[s], int32(i))
-		}
-		ix.tables[t] = m
-	})
+	ix.fill(sigs, empty)
 	return ix, nil
 }
 
@@ -273,6 +300,23 @@ func (ix *Index) signature(t int, v []float32, margins []float64) uint64 {
 		}
 		if margins != nil {
 			margins[j] = d
+		}
+	}
+	return sig
+}
+
+// projSignature is signature for an indexed item whose plane projections
+// are already known: the same subtraction and sign test, no dot products.
+func (ix *Index) projSignature(t int, proj []float64) uint64 {
+	var sig uint64
+	base := t * ix.cfg.Bits
+	for j := 0; j < ix.cfg.Bits; j++ {
+		d := proj[base+j]
+		if ix.meanDot != nil {
+			d -= ix.meanDot[base+j]
+		}
+		if d >= 0 {
+			sig |= 1 << uint(j)
 		}
 	}
 	return sig

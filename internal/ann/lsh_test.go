@@ -1,6 +1,8 @@
 package ann
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/datagen"
@@ -255,5 +257,71 @@ func TestSignatureRoundTrip(t *testing.T) {
 	bad[0] = []uint64{1 << 63, 0, 0, 0}
 	if _, err := BuildFromSignatures(vecs, dim, cfg, bad); err == nil {
 		t.Fatal("out-of-width signature accepted")
+	}
+}
+
+// TestDeriveMatchesBuild: a chain of derived generations — random
+// removals and additions, an emptied set, a start from signatures with no
+// projections — gives the same signatures, tables and TopK answers as
+// Build over the same vectors, with centering on and off, and every item
+// sits in the bucket its vector hashes to on the query path.
+func TestDeriveMatchesBuild(t *testing.T) {
+	pool := testVectors(t, 23, 160)
+	dim := NewEmbedder().Dim()
+	for _, cfg := range []Config{NewConfig(), {Tables: 4, Bits: 6, Seed: 3}} {
+		for _, fromSigs := range []bool{false, true} {
+			rng := rand.New(rand.NewSource(int64(cfg.Tables)))
+			next := 0
+			take := func(n int) [][]float32 {
+				out := pool[next : next+n]
+				next += n
+				return out
+			}
+			vecs := take(40)
+			ix := Build(vecs, dim, cfg)
+			if fromSigs {
+				var err error
+				if ix, err = BuildFromSignatures(vecs, dim, cfg, ix.Signatures()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for step := 0; step < 12; step++ {
+				// Keep a random ascending subset (none at step 6), then add.
+				var keep []int
+				var nv [][]float32
+				for i := range vecs {
+					if step != 6 && rng.Intn(5) != 0 {
+						keep = append(keep, i)
+						nv = append(nv, vecs[i])
+					}
+				}
+				nv = append(nv, take(rng.Intn(9))...)
+				ix, vecs = ix.Derive(nv, keep), nv
+				want := Build(vecs, dim, cfg)
+				sigs := ix.Signatures()
+				if !reflect.DeepEqual(sigs, want.Signatures()) {
+					t.Fatalf("cfg %+v fromSigs=%v step %d: signatures differ from Build", cfg, fromSigs, step)
+				}
+				// Build derives too, so also pin every bucket to the
+				// query-path hash of the item's vector.
+				for i, row := range sigs {
+					for tt, sig := range row {
+						if h := ix.signature(tt, vecs[i], nil); sig != h {
+							t.Fatalf("cfg %+v fromSigs=%v step %d: item %d table %d in bucket %x, hashes to %x", cfg, fromSigs, step, i, tt, sig, h)
+						}
+					}
+				}
+				if !reflect.DeepEqual(ix.tables, want.tables) || !reflect.DeepEqual(ix.mean, want.mean) {
+					t.Fatalf("cfg %+v fromSigs=%v step %d: tables or mean differ from Build", cfg, fromSigs, step)
+				}
+				for _, q := range pool[:10] {
+					got, gs := ix.TopK(q, 5, 0)
+					exp, es := want.TopK(q, 5, 0)
+					if !reflect.DeepEqual(got, exp) || gs != es {
+						t.Fatalf("cfg %+v fromSigs=%v step %d: TopK %v, want %v", cfg, fromSigs, step, got, exp)
+					}
+				}
+			}
+		}
 	}
 }

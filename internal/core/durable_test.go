@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/ann"
@@ -249,6 +250,56 @@ func TestDurableIndexMmapColdBoot(t *testing.T) {
 	}
 	assertEquivalent(t, rec, eager)
 	rec.Close()
+}
+
+// TestDurableIndexMmapApplyBatchStaysLazy: on an mmap-booted index, a
+// batch update derives the touched shards without decoding a single
+// surviving graph, and the added graphs are immediately searchable.
+func TestDurableIndexMmapApplyBatchStaysLazy(t *testing.T) {
+	dir := t.TempDir()
+	annCfg := ann.Config{Tables: 4, Bits: 6, Seed: 3}
+	opts := DurableIndexOptions{Shards: 2, Workers: 2, ANN: &annCfg}
+	di, _, err := OpenDurableIndex(context.Background(), dir, persistCorpus(16), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One batch so the compaction has a WAL record to fold.
+	if _, _, err := di.ApplyBatch(persistBatch(0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := di.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	di.Close()
+
+	mopts := opts
+	mopts.Store = store.Options{Mmap: true}
+	rec, rep, err := OpenDurableIndex(context.Background(), dir, nil, mopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	if rep.SectionsRestored != 2 {
+		t.Fatalf("sections restored = %d, want 2", rep.SectionsRestored)
+	}
+	removed := []string{rec.Corpus().Name(0), rec.Corpus().Name(5)}
+	added, _ := persistBatch(1)
+	if _, _, err := rec.ApplyBatch(added, removed); err != nil {
+		t.Fatal(err)
+	}
+	c := rec.Corpus()
+	survivors := c.Len() - len(added)
+	for i := 0; i < survivors; i++ {
+		if c.Hydrated(i) {
+			t.Fatalf("survivor %s hydrated by ApplyBatch", c.Name(i))
+		}
+	}
+	for _, g := range added {
+		res := rec.Index().Search(g, pattern.MatchOptions())
+		if !slices.Contains(res.Matches, g.Name()) {
+			t.Fatalf("added graph %s not found: %v", g.Name(), res.Matches)
+		}
+	}
 }
 
 // TestDurableIndexMmapSectionEpochMismatchRebuilds: a snapshot whose

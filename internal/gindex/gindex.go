@@ -99,9 +99,9 @@ func (sc sizeClass) atLeast(k int) (pattern.Bitset, bool) {
 	return sc.ge[i], true
 }
 
-// Index is an immutable filter index over a corpus snapshot. Rebuild after
-// corpus changes (construction is linear and cheap relative to one
-// unfiltered scan).
+// Index is an immutable filter index over a corpus snapshot. A changed
+// corpus gets a new Index derived from this one (derive), which carries
+// the surviving graphs' features over instead of re-reading the graphs.
 type Index struct {
 	corpus    *graph.Corpus
 	nodeLabel map[string]pattern.Bitset
@@ -130,54 +130,126 @@ func (idx *Index) targetIndexFor(gi int, g *graph.Graph) *isomorph.LabelIndex {
 	return li
 }
 
-// Build indexes the corpus.
+// Build indexes the corpus: the empty index with every graph added.
 func Build(c *graph.Corpus) *Index {
-	idx := &Index{
-		corpus:    c,
-		nodeLabel: make(map[string]pattern.Bitset),
-		edgeLabel: make(map[string]pattern.Bitset),
-		triples:   make(map[triple]pattern.Bitset),
-		numNodes:  make([]int, c.Len()),
-		numEdges:  make([]int, c.Len()),
-		labelIdx:  make([]atomic.Pointer[isomorph.LabelIndex], c.Len()),
-	}
+	return new(Index).derive(c, nil)
+}
+
+// derive returns the index over c, whose first len(keep) graphs are the
+// receiver's graphs at positions keep (ascending) and whose remaining
+// graphs are new. Survivors' sizes, label indexes and inverted-bitset
+// bits are carried over from the receiver — they are never hydrated, so
+// a lazy corpus stays lazy — and only the new graphs are read. Bitsets
+// left empty by the removals are dropped, so the result is byte-identical
+// to Build(c). The zero Index is the empty index; the receiver is not
+// modified.
+func (idx *Index) derive(c *graph.Corpus, keep []int) *Index {
 	n := c.Len()
-	bs := func(m map[string]pattern.Bitset, key string) pattern.Bitset {
-		b, ok := m[key]
-		if !ok {
-			b = pattern.NewBitset(n)
-			m[key] = b
-		}
-		return b
+	nx := &Index{
+		corpus:    c,
+		nodeLabel: make(map[string]pattern.Bitset, len(idx.nodeLabel)),
+		edgeLabel: make(map[string]pattern.Bitset, len(idx.edgeLabel)),
+		triples:   make(map[triple]pattern.Bitset, len(idx.triples)),
+		numNodes:  make([]int, n),
+		numEdges:  make([]int, n),
+		labelIdx:  make([]atomic.Pointer[isomorph.LabelIndex], n),
 	}
-	c.Each(func(gi int, g *graph.Graph) {
-		idx.numNodes[gi] = g.NumNodes()
-		idx.numEdges[gi] = g.NumEdges()
-		idx.labelIdx[gi].Store(isomorph.BuildLabelIndex(g))
+	for i, old := range keep {
+		nx.numNodes[i] = idx.numNodes[old]
+		nx.numEdges[i] = idx.numEdges[old]
+		nx.labelIdx[i].Store(idx.labelIdx[old].Load())
+	}
+	runs := keepRuns(keep)
+	compactInto(nx.nodeLabel, idx.nodeLabel, runs, n)
+	compactInto(nx.edgeLabel, idx.edgeLabel, runs, n)
+	compactInto(nx.triples, idx.triples, runs, n)
+	for gi := len(keep); gi < n; gi++ {
+		g := c.Graph(gi)
+		nx.numNodes[gi] = g.NumNodes()
+		nx.numEdges[gi] = g.NumEdges()
+		nx.labelIdx[gi].Store(isomorph.BuildLabelIndex(g))
 		for v := 0; v < g.NumNodes(); v++ {
-			bs(idx.nodeLabel, g.NodeLabel(v)).Set(gi)
+			bitsetFor(nx.nodeLabel, g.NodeLabel(v), n).Set(gi)
 		}
 		for ei := 0; ei < g.NumEdges(); ei++ {
 			e := g.Edge(ei)
-			bs(idx.edgeLabel, e.Label).Set(gi)
+			bitsetFor(nx.edgeLabel, e.Label, n).Set(gi)
 			a, b := g.NodeLabel(e.U), g.NodeLabel(e.V)
 			if a > b {
 				a, b = b, a
 			}
-			bs2 := func(tr triple) pattern.Bitset {
-				tb, ok := idx.triples[tr]
-				if !ok {
-					tb = pattern.NewBitset(n)
-					idx.triples[tr] = tb
-				}
-				return tb
-			}
-			bs2(triple{a, e.Label, b}).Set(gi)
+			bitsetFor(nx.triples, triple{a, e.Label, b}, n).Set(gi)
 		}
-	})
-	idx.sizeNodes = buildSizeClass(idx.numNodes)
-	idx.sizeEdges = buildSizeClass(idx.numEdges)
-	return idx
+	}
+	nx.sizeNodes = buildSizeClass(nx.numNodes)
+	nx.sizeEdges = buildSizeClass(nx.numEdges)
+	return nx
+}
+
+// bitsetFor returns m[key], first adding an empty n-bit bitset.
+func bitsetFor[K comparable](m map[K]pattern.Bitset, key K, n int) pattern.Bitset {
+	b, ok := m[key]
+	if !ok {
+		b = pattern.NewBitset(n)
+		m[key] = b
+	}
+	return b
+}
+
+// bitRun is a stretch of survivors that stay adjacent across a
+// derivation: old positions [src, src+n) move to [dst, dst+n).
+type bitRun struct{ src, dst, n int }
+
+// keepRuns groups ascending kept positions into runs; new position i
+// holds old position keep[i].
+func keepRuns(keep []int) []bitRun {
+	var runs []bitRun
+	for i, p := range keep {
+		if last := len(runs) - 1; last >= 0 && runs[last].src+runs[last].n == p {
+			runs[last].n++
+			continue
+		}
+		runs = append(runs, bitRun{src: p, dst: i, n: 1})
+	}
+	return runs
+}
+
+// compactInto moves every bitset of src to its runs' new positions in an
+// n-bit bitset of dst, dropping the ones with no bit left — a key whose
+// graphs were all removed disappears, as it would from a fresh build.
+// Word-at-a-time: O(words + runs) per bitset.
+func compactInto[K comparable](dst, src map[K]pattern.Bitset, runs []bitRun, n int) {
+	for key, b := range src {
+		out := pattern.NewBitset(n)
+		var set uint64
+		for _, r := range runs {
+			from, to, left := r.src, r.dst, r.n
+			for left > 0 {
+				c := min(64-to%64, left)
+				w := bitsAt(b, from, c) << uint(to%64)
+				out[to/64] |= w
+				set |= w
+				from, to, left = from+c, to+c, left-c
+			}
+		}
+		if set != 0 {
+			dst[key] = out
+		}
+	}
+}
+
+// bitsAt returns the c (1..64) bits of b starting at position p,
+// low-aligned.
+func bitsAt(b pattern.Bitset, p, c int) uint64 {
+	w, off := p/64, uint(p%64)
+	v := b[w] >> off
+	if off != 0 && w+1 < len(b) {
+		v |= b[w+1] << (64 - off)
+	}
+	if c < 64 {
+		v &= 1<<uint(c) - 1
+	}
+	return v
 }
 
 // appendDedup adds s to dst unless already present (linear scan — query

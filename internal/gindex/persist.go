@@ -19,7 +19,10 @@ package gindex
 //     regenerate for free, and with signatures on hand the hash tables
 //     refill by bucket insertion (ann.BuildFromSignatures) — the
 //     n·Tables·Bits·dim hashing pass that would otherwise make restore
-//     cost scale with corpus size is skipped entirely.
+//     cost scale with corpus size is skipped entirely. The per-item plane
+//     projections that ApplyBatch's derivation carries over are not
+//     persisted either; the first batch touching a restored shard
+//     computes them.
 //
 // A section is opaque bytes to the store layer, which frames and
 // checksums it; decoding here still validates structure defensively
@@ -35,6 +38,7 @@ import (
 	"math"
 	"runtime"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -423,6 +427,7 @@ func RestoreSharded(c *graph.Corpus, k, workers int, annCfg *ann.Config, section
 
 	rep := &RestoreReport{}
 	rebuilt := make([]bool, k)
+	empty := sync.OnceValue(sh.emptyCore) // only if some shard must be built
 	par.ForEachN(k, workers, func(s int) {
 		if data, ok := sections[s]; ok {
 			t0 := time.Now()
@@ -438,7 +443,7 @@ func RestoreSharded(c *graph.Corpus, k, workers int, annCfg *ann.Config, section
 		}
 		rebuilt[s] = true
 		t0 := time.Now()
-		sh.shards[s] = sh.buildCore(subs[s])
+		sh.shards[s] = sh.deriveCore(empty(), subs[s], nil)
 		if obs.On() {
 			obsSectionRebuilds.Inc()
 			obsShardBuilds.Inc()

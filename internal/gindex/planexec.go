@@ -58,13 +58,13 @@ import (
 // panic → shard-level monolithic fallback), incomplete views (shard-level
 // fallback), per-graph stitch outcomes.
 var (
-	obsPlanMono        = obs.Default.Counter("gindex_plan_searches_total", "strategy", "monolithic")
-	obsPlanDecomp      = obs.Default.Counter("gindex_plan_searches_total", "strategy", "decomposed")
-	obsPlanANN         = obs.Default.Counter("gindex_plan_searches_total", "strategy", "ann")
-	obsPlanJoinFail    = obs.Default.Counter("gindex_plan_join_failures_total")
-	obsPlanShardFall   = obs.Default.Counter("gindex_plan_shard_fallbacks_total")
-	obsPlanStitched    = obs.Default.Counter("gindex_plan_stitched_verifies_total")
-	obsPlanGraphFall   = obs.Default.Counter("gindex_plan_graph_fallbacks_total")
+	obsPlanMono      = obs.Default.Counter("gindex_plan_searches_total", "strategy", "monolithic")
+	obsPlanDecomp    = obs.Default.Counter("gindex_plan_searches_total", "strategy", "decomposed")
+	obsPlanANN       = obs.Default.Counter("gindex_plan_searches_total", "strategy", "ann")
+	obsPlanJoinFail  = obs.Default.Counter("gindex_plan_join_failures_total")
+	obsPlanShardFall = obs.Default.Counter("gindex_plan_shard_fallbacks_total")
+	obsPlanStitched  = obs.Default.Counter("gindex_plan_stitched_verifies_total")
+	obsPlanGraphFall = obs.Default.Counter("gindex_plan_graph_fallbacks_total")
 )
 
 // stitchEnumCap bounds per-fragment embedding enumeration inside
@@ -128,14 +128,10 @@ func (sh *Sharded) SearchPlan(ctx context.Context, q *graph.Graph, opts isomorph
 
 // viewBase builds the option-sensitive part of a view cache key: views
 // depend on the fragment and on anything that can change a containment
-// verdict (step budget, induced semantics) — never on MaxResults, which
-// views deliberately ignore.
+// verdict (the step budget) — never on MaxResults, which views
+// deliberately ignore, nor on induced semantics, which views never use.
 func viewBase(fragCanon string, opts isomorph.Options) string {
-	b := fragCanon + "|ms" + strconv.Itoa(opts.MaxSteps)
-	if opts.Induced {
-		b += "|ind"
-	}
-	return b
+	return fragCanon + "|ms" + strconv.Itoa(opts.MaxSteps)
 }
 
 func (sh *Sharded) searchDecomposed(ctx context.Context, q *graph.Graph, opts isomorph.Options, pl *plan.Plan, po PlanOptions) Result {
@@ -145,8 +141,13 @@ func (sh *Sharded) searchDecomposed(ctx context.Context, q *graph.Graph, opts is
 	// shard). Views are unbudgeted (MaxResults=0): the join below is only
 	// sound against complete lists. Fragment searches use the per-target
 	// heuristic order — fragments are small and their compiled order would
-	// differ per fragment anyway.
+	// differ per fragment anyway. Views are a necessary-condition filter,
+	// so they use plain (non-induced) containment: under induced semantics
+	// a fragment that omits a query edge between two of its own nodes
+	// would otherwise miss graphs holding the whole query. Final
+	// verification below applies opts.Induced.
 	viewOpts := opts
+	viewOpts.Induced = false
 	viewOpts.MaxResults = 0
 	viewOpts.MaxEmbeddings = 1
 	viewOpts.Order = nil

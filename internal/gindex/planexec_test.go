@@ -3,6 +3,7 @@ package gindex
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -44,13 +45,49 @@ func planConfigs(hasViews bool) []plan.Config {
 	}
 }
 
+// planOptionVariants returns the isomorph.Options variations the plan
+// matrix runs every query under: default monomorphism, induced semantics,
+// and each with a step budget tight enough that some checks truncate.
+func planOptionVariants() []isomorph.Options {
+	base := pattern.MatchOptions()
+	induced := base
+	induced.Induced = true
+	tight := base
+	tight.MaxSteps = planTightSteps
+	tightInduced := induced
+	tightInduced.MaxSteps = planTightSteps
+	return []isomorph.Options{base, induced, tight, tightInduced}
+}
+
+// planTightSteps is a per-graph VF2 step budget small enough to truncate
+// some containment checks on the plan-test corpora.
+const planTightSteps = 12
+
+// isSubsequence reports whether sub appears in full in the same order.
+func isSubsequence(sub, full []string) bool {
+	j := 0
+	for _, x := range sub {
+		for j < len(full) && full[j] != x {
+			j++
+		}
+		if j == len(full) {
+			return false
+		}
+		j++
+	}
+	return true
+}
+
 // TestSearchPlanMatchesOracle is the tentpole equivalence property: at
-// every strategy (cost-chosen and forced), shard count, worker count, and
-// MaxResults budget, with and without a view cache, SearchPlan returns
-// byte-identical matches to the monolithic K=1 Index oracle.
+// every strategy (cost-chosen and forced), shard count, worker count,
+// MaxResults budget, induced or plain semantics, and step budget, with and
+// without a view cache, SearchPlan honours the Truncated contract against
+// the monolithic K=1 Index oracle: its matches are always an ordered
+// subset of the complete answer, and a non-truncated answer is exactly
+// the complete answer's MaxResults prefix.
 func TestSearchPlanMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
-	opts := pattern.MatchOptions()
+	truncated, complete := 0, 0
 	for _, corpusN := range []int{3, 60} {
 		c := datagen.ChemicalCorpus(int64(corpusN), corpusN, datagen.ChemicalOptions{MinNodes: 10, MaxNodes: 24})
 		mono := Build(c)
@@ -63,46 +100,66 @@ func TestSearchPlanMatchesOracle(t *testing.T) {
 					if useViews {
 						views = qcache.New[ShardResult](1024)
 					}
-					for qi, q := range queries {
-						want := mono.Search(q, opts)
-						for ci, cfg := range planConfigs(useViews) {
-							for _, max := range []int{0, 1, 5} {
-								bopts := opts
-								bopts.MaxResults = max
-								ccfg := cfg
-								ccfg.MaxResults = max
-								ccfg.ANN = true
-								pl := sh.CompilePlan(q, ccfg)
-								got := sh.SearchPlan(context.Background(), q, bopts, pl, PlanOptions{Views: views})
-								wantM := want.Matches
-								if max > 0 && len(wantM) > max {
-									wantM = wantM[:max]
-								}
-								if !reflect.DeepEqual(got.Matches, wantM) {
-									t.Fatalf("n=%d k=%d w=%d q%d cfg%d (%s) max=%d views=%v:\n got %v\nwant %v",
-										corpusN, k, workers, qi, ci, pl.Strategy, max, useViews, got.Matches, wantM)
-								}
-								if got.Truncated {
-									t.Fatalf("n=%d k=%d q%d cfg%d: unexpected Truncated", corpusN, k, qi, ci)
+					for oi, opts := range planOptionVariants() {
+						full := opts
+						full.MaxSteps = 0
+						for qi, q := range queries {
+							want := mono.Search(q, full)
+							for ci, cfg := range planConfigs(useViews) {
+								for _, max := range []int{0, 1, 5} {
+									bopts := opts
+									bopts.MaxResults = max
+									ccfg := cfg
+									ccfg.MaxResults = max
+									ccfg.ANN = true
+									pl := sh.CompilePlan(q, ccfg)
+									got := sh.SearchPlan(context.Background(), q, bopts, pl, PlanOptions{Views: views})
+									wantM := want.Matches
+									if max > 0 && len(wantM) > max {
+										wantM = wantM[:max]
+									}
+									where := func() string {
+										return fmt.Sprintf("n=%d k=%d w=%d opts%d q%d cfg%d (%s) max=%d views=%v",
+											corpusN, k, workers, oi, qi, ci, pl.Strategy, max, useViews)
+									}
+									if !isSubsequence(got.Matches, want.Matches) {
+										t.Fatalf("%s: %v is not an ordered subset of %v", where(), got.Matches, want.Matches)
+									}
+									if got.Truncated {
+										if opts.MaxSteps != planTightSteps {
+											t.Fatalf("%s: unexpected Truncated", where())
+										}
+										truncated++
+										continue
+									}
+									complete++
+									if !reflect.DeepEqual(got.Matches, wantM) {
+										t.Fatalf("%s:\n got %v\nwant %v", where(), got.Matches, wantM)
+									}
 								}
 							}
 						}
-					}
-					// Warm pass: repeat with a hot view cache, must not change answers.
-					if useViews {
-						for qi, q := range queries {
-							want := mono.Search(q, opts)
-							cfg := plan.Config{Force: plan.StrategyDecomposed, HasViewCache: true}
-							pl := sh.CompilePlan(q, cfg)
-							got := sh.SearchPlan(context.Background(), q, opts, pl, PlanOptions{Views: views})
-							if !reflect.DeepEqual(got.Matches, want.Matches) {
-								t.Fatalf("warm views q%d: %v vs %v", qi, got.Matches, want.Matches)
+						// Warm pass: repeat with a hot view cache, must not change answers.
+						if useViews {
+							for qi, q := range queries {
+								want := mono.Search(q, opts)
+								cfg := plan.Config{Force: plan.StrategyDecomposed, HasViewCache: true}
+								pl := sh.CompilePlan(q, cfg)
+								got := sh.SearchPlan(context.Background(), q, opts, pl, PlanOptions{Views: views})
+								if !got.Truncated && !want.Truncated && !reflect.DeepEqual(got.Matches, want.Matches) {
+									t.Fatalf("warm views opts%d q%d: %v vs %v", oi, qi, got.Matches, want.Matches)
+								}
 							}
 						}
 					}
 				}
 			}
 		}
+	}
+	// Guard against a step budget that never (or always) binds: the
+	// matrix must exercise both sides of the Truncated contract.
+	if truncated == 0 || complete == 0 {
+		t.Fatalf("step budget exercised %d truncated and %d complete answers; want both > 0", truncated, complete)
 	}
 }
 

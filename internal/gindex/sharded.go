@@ -1,12 +1,15 @@
 package gindex
 
 // Sharded partitions the filter-verify index across K shards so that
-// (a) corpus changes rebuild only the shards that actually hold touched
-// graphs (batch-update latency scales with touched-shard count, not corpus
-// size — the MIDAS maintenance story applied to the query index), and
-// (b) queries fan out across shards in parallel under a shared result
-// budget, stopping shards early once the budget provably cannot admit
-// anything they still hold.
+// (a) a corpus change touches only the shards that hold changed graphs,
+// and each touched shard is derived from its previous state rather than
+// rebuilt: survivors' index bits, embeddings and LSH projections carry
+// over and only the batch's graphs are read (batch-update cost scales
+// with the batch and the touched shards' index words, not with the
+// graphs they hold — the MIDAS maintenance story applied to the query
+// index), and (b) queries fan out across shards in parallel under a
+// shared result budget, stopping shards early once the budget provably
+// cannot admit anything they still hold.
 //
 // Contract:
 //
@@ -18,13 +21,15 @@ package gindex
 //     return the first MaxResults matches in corpus order. Index is the
 //     K=1 oracle; the property tests assert the equivalence.
 //   - ApplyBatch is copy-on-write: it returns a new Sharded sharing the
-//     untouched shards' indexes with the old one and bumps the epochs of
-//     the rebuilt shards only. The old value stays fully usable, which is
-//     what lets a serving layer swap indexes under concurrent queries
-//     without locking readers.
+//     untouched shards' cores with the old one, derives new cores for the
+//     touched shards, and bumps the epochs of the touched shards only. A
+//     derived core is byte-identical (EncodeSections) to a from-scratch
+//     build over the same sub-corpus. The old value stays fully usable,
+//     which is what lets a serving layer swap indexes under concurrent
+//     queries without locking readers.
 //   - Per-shard epochs are the cache-invalidation currency: an entry keyed
 //     by (query, shard, epoch) stays valid across updates that did not
-//     rebuild that shard (see qcache.ShardKey / qcache.EpochKey).
+//     touch that shard (see qcache.ShardKey / qcache.EpochKey).
 
 import (
 	"context"
@@ -44,11 +49,12 @@ import (
 	"repro/internal/par"
 )
 
-// Build/rebuild observability: per-shard (re)build wall time feeds a
-// histogram so batch-update latency is visible per shard, and the
-// counters separate from-scratch builds from incremental rebuilds. The
-// ann counters mirror the pair for the per-shard LSH tables — the
-// touched-shards-only rebuild property is asserted against them.
+// Build/rebuild observability: per-shard build and derivation wall time
+// feed histograms so batch-update latency is visible per shard, and the
+// counters separate from-scratch builds from the shards ApplyBatch
+// derives (the "rebuild" names predate derivation). The ann counters
+// mirror the pair for the per-shard LSH tables — the touched-shards-only
+// property is asserted against them.
 var (
 	obsShardBuilds      = obs.Default.Counter("gindex_shard_builds_total")
 	obsShardRebuilds    = obs.Default.Counter("gindex_shard_rebuilds_total")
@@ -69,17 +75,18 @@ func ShardOf(name string, k int) int {
 }
 
 // shardCore is the immutable per-shard state: the shard's sub-corpus and
-// the monolithic Index built over it. ApplyBatch shares cores of untouched
-// shards between generations; everything position-dependent (global
-// positions, epochs) lives on Sharded itself because removals anywhere in
-// the corpus renumber every shard's graphs.
+// the monolithic Index over it. ApplyBatch shares cores of untouched
+// shards between generations and derives touched shards' cores from their
+// previous ones; everything position-dependent (global positions, epochs)
+// lives on Sharded itself because removals anywhere in the corpus
+// renumber every shard's graphs.
 type shardCore struct {
 	sub *graph.Corpus
 	idx *Index
 
 	// Similarity state, present only on ANN-enabled indexes
 	// (BuildShardedANN): the shard's embedding vectors by local position and
-	// the LSH index over them. Rebuilt together with idx, so a shared core
+	// the LSH index over them. Derived together with idx, so a shared core
 	// always has mutually consistent exact and approximate views.
 	vecs [][]float32
 	ann  *ann.Index
@@ -98,7 +105,7 @@ type Sharded struct {
 	pos     map[string]int // name -> global position
 
 	// Similarity configuration, nil/absent on plain BuildSharded indexes.
-	// annCfg is shared (never mutated) across generations so rebuilt shards
+	// annCfg is shared (never mutated) across generations so derived shards
 	// hash with the identical hyperplane family.
 	annCfg *ann.Config
 	emb    *ann.Embedder
@@ -109,17 +116,37 @@ type Sharded struct {
 	stats atomic.Pointer[planStats]
 }
 
-// buildCore builds one shard's immutable state: the filter-verify index,
-// plus — on ANN-enabled values — the shard's embedding vectors and LSH
-// table. Inner builds run single-threaded because every call site already
-// fans out one core per worker.
-func (sh *Sharded) buildCore(sub *graph.Corpus) *shardCore {
-	core := &shardCore{sub: sub, idx: Build(sub)}
+// emptyCore returns the state of an empty shard, which every from-scratch
+// shard build derives from. Its LSH index holds the hyperplane family, so
+// all cores derived from one empty core share the planes.
+func (sh *Sharded) emptyCore() *shardCore {
+	core := &shardCore{sub: graph.NewCorpus(), idx: new(Index)}
 	if sh.annCfg != nil {
 		cfg := *sh.annCfg
-		cfg.Workers = 1
-		core.vecs = sh.emb.EmbedCorpus(sub, 1)
-		core.ann = ann.Build(core.vecs, sh.emb.Dim(), cfg)
+		cfg.Workers = 1 // every call site already fans out one core per worker
+		core.ann = ann.New(sh.emb.Dim(), cfg)
+	}
+	return core
+}
+
+// deriveCore returns the state of a shard whose sub-corpus sub holds
+// prev's graphs at local positions keep (ascending) followed by new
+// graphs: the filter-verify index, plus — on ANN-enabled values — the
+// embedding vectors and LSH table. Survivors' index bits, vectors and
+// plane projections carry over; only the new graphs are hydrated and
+// embedded. Runs single-threaded because every call site already fans out
+// one core per worker.
+func (sh *Sharded) deriveCore(prev *shardCore, sub *graph.Corpus, keep []int) *shardCore {
+	core := &shardCore{sub: sub, idx: prev.idx.derive(sub, keep)}
+	if sh.annCfg != nil {
+		core.vecs = make([][]float32, sub.Len())
+		for i, old := range keep {
+			core.vecs[i] = prev.vecs[old]
+		}
+		for i := len(keep); i < sub.Len(); i++ {
+			core.vecs[i] = sh.emb.Embed(sub.Graph(i))
+		}
+		core.ann = prev.ann.Derive(core.vecs, keep)
 	}
 	return core
 }
@@ -148,7 +175,7 @@ func BuildSharded(c *graph.Corpus, k, workers int) *Sharded {
 // BuildShardedANN is BuildSharded plus per-shard similarity state: every
 // shard also embeds its graphs (ann.Embedder) and builds an LSH index over
 // the vectors with the given configuration. All shards share one
-// hyperplane family (cfg.Seed), so a shard rebuilt by ApplyBatch hashes
+// hyperplane family (cfg.Seed), so a shard derived by ApplyBatch hashes
 // exactly as it would in a from-scratch build.
 func BuildShardedANN(c *graph.Corpus, k, workers int, cfg ann.Config) *Sharded {
 	return buildSharded(c, k, workers, &cfg)
@@ -188,9 +215,10 @@ func buildSharded(c *graph.Corpus, k, workers int, annCfg *ann.Config) *Sharded 
 		sh.pos[name] = gi
 		sh.order = append(sh.order, name)
 	})
+	empty := sh.emptyCore()
 	par.ForEachN(k, workers, func(s int) {
 		t0 := time.Now()
-		sh.shards[s] = sh.buildCore(subs[s])
+		sh.shards[s] = sh.deriveCore(empty, subs[s], nil)
 		if obs.On() {
 			obsShardBuilds.Inc()
 			obsShardBuildSecs.Observe(time.Since(t0).Seconds())
@@ -209,8 +237,8 @@ func (sh *Sharded) NumShards() int { return sh.k }
 func (sh *Sharded) Len() int { return len(sh.order) }
 
 // Epoch returns shard s's epoch: it starts at 0 and is bumped every time
-// ApplyBatch rebuilds the shard. Equal epochs at equal K mean the shard's
-// contents are unchanged.
+// an ApplyBatch batch touches the shard. Equal epochs at equal K mean the
+// shard's contents are unchanged.
 func (sh *Sharded) Epoch(s int) uint64 { return sh.epochs[s] }
 
 // Epochs returns a copy of all per-shard epochs, indexed by shard.
@@ -224,7 +252,7 @@ func (sh *Sharded) Epochs() []uint64 {
 type UpdateReport struct {
 	Added, Removed int
 	Shards         int   // K
-	Rebuilt        []int // ids of the shards that were rebuilt, ascending
+	Rebuilt        []int // ids of the touched shards (epoch bumped, core derived), ascending
 }
 
 // ValidateBatch checks a batch against this index without applying it:
@@ -282,10 +310,12 @@ func (sh *Sharded) RestoreEpochs(epochs []uint64) {
 
 // ApplyBatch applies a batch update — removals first, then additions, the
 // MIDAS batch shape — and returns a new Sharded. Only the shards owning a
-// removed or added graph are rebuilt; every other shard's sub-corpus and
-// index are shared with the receiver, and only rebuilt shards' epochs are
-// bumped. The receiver is left untouched and remains a valid index over
-// the pre-batch corpus.
+// removed or added graph change: each gets a core derived from its
+// previous one (deriveCore), which drops the removed graphs' bits and
+// reads only the added graphs, so survivors are never hydrated or
+// re-embedded. Every other shard's core is shared with the receiver, and
+// only touched shards' epochs are bumped. The receiver is left untouched
+// and remains a valid index over the pre-batch corpus.
 func (sh *Sharded) ApplyBatch(added []*graph.Graph, removedNames []string) (*Sharded, *UpdateReport, error) {
 	removedSet, addedSet, err := sh.validateBatch(added, removedNames)
 	if err != nil {
@@ -329,11 +359,12 @@ func (sh *Sharded) ApplyBatch(added []*graph.Graph, removedNames []string) (*Sha
 		next.globals[s] = append(next.globals[s], gi)
 	}
 
-	// Untouched shards share their core; touched shards get a fresh
+	// Untouched shards share their core; touched shards get a new
 	// sub-corpus (old members minus removals, plus this shard's additions
-	// in batch order) and a rebuilt index, in parallel.
+	// in batch order) and a core derived from the old one, in parallel.
 	var rebuilt []int
 	subs := make([]*graph.Corpus, sh.k)
+	keeps := make([][]int, sh.k)
 	for s := 0; s < sh.k; s++ {
 		if !touched[s] {
 			next.shards[s] = sh.shards[s]
@@ -346,6 +377,7 @@ func (sh *Sharded) ApplyBatch(added []*graph.Graph, removedNames []string) (*Sha
 		from.EachName(func(i int, name string) {
 			if !removedSet[name] {
 				sub.MustAdopt(from, i)
+				keeps[s] = append(keeps[s], i)
 			}
 		})
 		subs[s] = sub
@@ -356,7 +388,7 @@ func (sh *Sharded) ApplyBatch(added []*graph.Graph, removedNames []string) (*Sha
 	par.ForEachN(len(rebuilt), sh.workers, func(i int) {
 		s := rebuilt[i]
 		t0 := time.Now()
-		next.shards[s] = next.buildCore(subs[s])
+		next.shards[s] = next.deriveCore(sh.shards[s], subs[s], keeps[s])
 		if obs.On() {
 			obsShardRebuilds.Inc()
 			obsShardRebuildSec.Observe(time.Since(t0).Seconds())

@@ -2,10 +2,12 @@ package gindex
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"repro/internal/ann"
 	"repro/internal/datagen"
 	"repro/internal/graph"
 	"repro/internal/isomorph"
@@ -383,5 +385,48 @@ func TestRestoreEpochs(t *testing.T) {
 		if next.Epoch(s) != rebuilt.Epoch(s)+1 {
 			t.Fatalf("shard %d epoch did not advance from restored value", s)
 		}
+	}
+}
+
+// BenchmarkApplyBatch times one steady-state update of the serving shape:
+// K=2 shards over 2000 compounds with ANN state, each batch adding 4
+// compounds and removing the 4 added two batches earlier.
+func BenchmarkApplyBatch(b *testing.B) {
+	opts := datagen.ChemicalOptions{MinNodes: 14, MaxNodes: 30}
+	c := datagen.ChemicalCorpus(1, 2000, opts)
+	sh := BuildShardedANN(c, 2, 0, ann.NewConfig())
+	rng := rand.New(rand.NewSource(2))
+	batch := func(i int) []*graph.Graph {
+		out := make([]*graph.Graph, 4)
+		for j := range out {
+			out[j] = datagen.Chemical(rng, fmt.Sprintf("bench-%d-%d", i, j), opts)
+		}
+		return out
+	}
+	var history [][]*graph.Graph
+	for i := 0; i < 2; i++ { // warm up: two adds-only batches
+		added := batch(i)
+		next, _, err := sh.ApplyBatch(added, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sh, history = next, append(history, added)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		added := batch(i + 2)
+		var removed []string
+		for _, g := range history[i] {
+			removed = append(removed, g.Name())
+		}
+		history = append(history, added)
+		b.StartTimer()
+		next, _, err := sh.ApplyBatch(added, removed)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sh = next
 	}
 }
