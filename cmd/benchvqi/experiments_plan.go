@@ -4,7 +4,7 @@ package main
 // visual query into a physical plan buys over the monolithic budgeted
 // fan-out: rarest-edge-first VF2 ordering, and — on large patterns —
 // decomposition into sub-pattern fragments whose containment views are
-// cached and joined, with exact verification of the stitched matches.
+// cached and joined, with exact VF2 verification of the joint survivors.
 // Queries are bucketed by edge count (the 4–16 range a visual interface
 // realistically produces); each bucket reports monolithic vs planned
 // (cold- and warm-view) p50/p99, and every planned answer is checked for

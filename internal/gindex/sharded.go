@@ -440,31 +440,92 @@ func (sh *Sharded) SearchShardCtx(ctx context.Context, s int, q *graph.Graph, op
 	return sh.searchShard(ctx, s, q, opts, nil)
 }
 
-// searchShard is SearchShardCtx plus an optional cross-shard budget: when
-// b is non-nil, confirmed matches are offered to the shared top-MaxResults
-// heap, and the shard stops outright once its next candidate's global
-// position exceeds the heap's bound — every later candidate in this shard
-// has a larger position still, so none can enter the final answer.
+// searchShard is SearchShardCtx plus an optional cross-shard budget: it
+// verifies every filter candidate of shard s.
 func (sh *Sharded) searchShard(ctx context.Context, s int, q *graph.Graph, opts isomorph.Options, b *resultBudget) ShardResult {
+	return sh.verifyShard(ctx, s, q, opts, sh.candidates(s, q), nil, b)
+}
+
+// candidates returns shard s's filter candidates for q: ascending local
+// positions of the graphs whose index bits admit the pattern.
+func (sh *Sharded) candidates(s int, q *graph.Graph) []int {
 	core := sh.shards[s]
-	res := ShardResult{Shard: s, Epoch: sh.epochs[s], Scanned: core.sub.Len()}
-	defer func() { recordSearch(res.Candidates, res.Verified, len(res.Matches), res.Truncated) }()
 	if q.NumNodes() == 0 || core.sub.Len() == 0 {
-		return res
+		return nil
 	}
+	return core.idx.Candidates(q)
+}
+
+// verifyShard is the per-shard verify loop every search strategy runs; the
+// strategies differ only in the candidates they hand it. cands (ascending
+// local positions) are confirmed with VF2 under opts — including any
+// compiled matching order — in ascending corpus order. When b is non-nil,
+// confirmed matches are offered to the shared top-MaxResults heap, and the
+// shard stops outright once its next candidate's global position exceeds
+// the heap's bound: every later candidate in this shard has a larger
+// position still, so none can enter the final answer.
+//
+// first, when non-empty, lists candidates (a subset of cands) to verify
+// before the sweep, so a budget fills — and its bound starts pruning —
+// early. The sweep reuses their outcomes, so no candidate is verified
+// twice. A first-pass match the sweep does not reach (the budget bound is
+// strict, so a match can make its own position non-viable) stays in the
+// partial; the merge's sort-and-truncate discards it exactly as it would
+// any match past the global prefix.
+func (sh *Sharded) verifyShard(ctx context.Context, s int, q *graph.Graph, opts isomorph.Options, cands, first []int, b *resultBudget) ShardResult {
+	core := sh.shards[s]
+	res := ShardResult{Shard: s, Epoch: sh.epochs[s], Scanned: core.sub.Len(), Candidates: len(cands)}
+	defer func() { recordSearch(res.Candidates, res.Verified, len(res.Matches), res.Truncated) }()
 	if opts.Ctx == nil {
 		opts.Ctx = ctx
 	}
-	cands := core.idx.Candidates(q)
-	res.Candidates = len(cands)
 	opts.MaxEmbeddings = 1
+	// verify confirms local candidate li, recording a match; ok is false
+	// when the graph cannot be read.
+	verify := func(li int) (matched, ok bool) {
+		g, err := core.sub.Hydrate(li)
+		if err != nil {
+			// Corrupt lazy frame: this graph is unknowable, not a non-match.
+			res.Truncated = true
+			return false, false
+		}
+		opts.TargetIndex = core.idx.targetIndexFor(li, g)
+		r := isomorph.Count(q, g, opts)
+		res.Verified++
+		if r.Embeddings == 0 {
+			if r.Truncated {
+				res.Truncated = true
+			}
+			return false, true
+		}
+		gp := sh.globals[s][li]
+		res.Matches = append(res.Matches, ShardMatch{Pos: gp, Name: g.Name()})
+		if b != nil {
+			b.admit(gp)
+		}
+		return true, true
+	}
+
+	done := make(map[int]bool, len(first)) // first-pass outcomes by local position
+	for _, li := range first {
+		if ctx.Err() != nil {
+			res.Truncated = true
+			break
+		}
+		if b != nil && !b.viable(sh.globals[s][li]) {
+			continue
+		}
+		if m, ok := verify(li); ok {
+			done[li] = m
+		}
+	}
+	swept := 0 // matches on the ascending sweep, for the MaxResults stop
 	for _, li := range cands {
 		if ctx.Err() != nil {
 			res.Truncated = true
 			break
 		}
-		gp := sh.globals[s][li]
-		if b != nil && !b.viable(gp) {
+		if b != nil && !b.viable(sh.globals[s][li]) {
 			// The shared cross-shard budget proves no later candidate in
 			// this shard can enter the answer; count the early exit.
 			if obs.On() {
@@ -472,26 +533,22 @@ func (sh *Sharded) searchShard(ctx context.Context, s int, q *graph.Graph, opts 
 			}
 			break
 		}
-		g, err := core.sub.Hydrate(li)
-		if err != nil {
-			// Corrupt lazy frame: this graph is unknowable, not a non-match.
-			res.Truncated = true
-			continue
-		}
-		opts.TargetIndex = core.idx.targetIndexFor(li, g)
-		r := isomorph.Count(q, g, opts)
-		res.Verified++
-		if r.Embeddings > 0 {
-			res.Matches = append(res.Matches, ShardMatch{Pos: gp, Name: g.Name()})
-			if b != nil {
-				b.admit(gp)
+		m, seen := done[li]
+		if !seen {
+			var ok bool
+			if m, ok = verify(li); !ok {
+				continue
 			}
-			if opts.MaxResults > 0 && len(res.Matches) >= opts.MaxResults {
+		}
+		if m {
+			swept++
+			if opts.MaxResults > 0 && swept >= opts.MaxResults {
 				break
 			}
-		} else if r.Truncated {
-			res.Truncated = true
 		}
+	}
+	if len(first) > 0 {
+		sort.Slice(res.Matches, func(i, j int) bool { return res.Matches[i].Pos < res.Matches[j].Pos })
 	}
 	return res
 }
@@ -535,15 +592,24 @@ func (sh *Sharded) Search(q *graph.Graph, opts isomorph.Options) Result {
 // scheduling — the budget only changes how much verification work is
 // skipped, never which matches survive.
 func (sh *Sharded) SearchCtx(ctx context.Context, q *graph.Graph, opts isomorph.Options) Result {
+	return sh.fanOut(opts.MaxResults, func(s int, b *resultBudget) ShardResult {
+		return sh.searchShard(ctx, s, q, opts, b)
+	})
+}
+
+// fanOut runs shard for every shard on the bounded pool under one shared
+// result budget (nil when maxResults is 0) and merges the partials in
+// corpus order. Every query strategy fans out through it.
+func (sh *Sharded) fanOut(maxResults int, shard func(s int, b *resultBudget) ShardResult) Result {
 	var b *resultBudget
-	if opts.MaxResults > 0 {
-		b = newResultBudget(opts.MaxResults)
+	if maxResults > 0 {
+		b = newResultBudget(maxResults)
 	}
 	partials := make([]ShardResult, sh.k)
 	par.ForEachN(sh.k, sh.workers, func(s int) {
-		partials[s] = sh.searchShard(ctx, s, q, opts, b)
+		partials[s] = shard(s, b)
 	})
-	return MergeShardResults(partials, opts.MaxResults)
+	return MergeShardResults(partials, maxResults)
 }
 
 // resultBudget is the shared cross-shard result budget: a max-heap of the

@@ -124,56 +124,6 @@ func TestOptionsOrderInvalidIgnored(t *testing.T) {
 	}
 }
 
-// TestVerifyMapping: accepts exactly the mappings Enumerate reports and
-// rejects corrupted ones.
-func TestVerifyMapping(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	verified := 0
-	for trial := 0; trial < 40; trial++ {
-		target := randomGraph(rng, 10, 16)
-		pattern := randomGraph(rng, 3, 3)
-		Enumerate(pattern, target, Options{MaxEmbeddings: 8}, func(m []graph.NodeID) bool {
-			verified++
-			if !VerifyMapping(pattern, target, m, false) {
-				t.Fatalf("trial %d: VerifyMapping rejected a real embedding %v", trial, m)
-			}
-			// Corrupt it: duplicate a target node (breaks injectivity).
-			bad := append([]graph.NodeID(nil), m...)
-			if len(bad) >= 2 {
-				bad[0] = bad[1]
-				if VerifyMapping(pattern, target, bad, false) {
-					t.Fatalf("trial %d: VerifyMapping accepted non-injective %v", trial, bad)
-				}
-			}
-			return true
-		})
-	}
-	if verified == 0 {
-		t.Fatal("no embeddings found across trials; generator too sparse")
-	}
-	// Induced semantics: a chord in the target must reject a path mapping.
-	p := graph.New("p")
-	p.AddNode("C")
-	p.AddNode("C")
-	p.AddNode("C")
-	p.AddEdge(0, 1, "s")
-	p.AddEdge(1, 2, "s")
-	tg := graph.New("t")
-	tg.AddNode("C")
-	tg.AddNode("C")
-	tg.AddNode("C")
-	tg.AddEdge(0, 1, "s")
-	tg.AddEdge(1, 2, "s")
-	tg.AddEdge(0, 2, "s")
-	m := []graph.NodeID{0, 1, 2}
-	if !VerifyMapping(p, tg, m, false) {
-		t.Fatal("monomorphism mapping rejected")
-	}
-	if VerifyMapping(p, tg, m, true) {
-		t.Fatal("induced mapping with a chord accepted")
-	}
-}
-
 // randomGraph builds a small random labeled graph (connected not
 // required).
 func randomGraph(rng *rand.Rand, nodes, edges int) *graph.Graph {

@@ -132,18 +132,13 @@ func MatchOptions() isomorph.Options {
 }
 
 // PlanConfig returns the plan-compiler configuration matched to this
-// package's pattern model and MatchOptions budgets: queries up to
-// double the basic-pattern size stay monolithic (fragment overhead always
-// loses on shapes a user assembles in a couple of gestures), larger
-// canned-pattern-sized queries become decomposition candidates, and the
-// stitch buffer is sized against the embedding budget. Deployment
-// capabilities (ANN state, result budget, view cache) are the caller's to
-// fill in.
+// package's pattern model: queries up to double the basic-pattern size
+// stay monolithic (fragment overhead always loses on shapes a user
+// assembles in a couple of gestures), and larger canned-pattern-sized
+// queries become decomposition candidates. Deployment capabilities (ANN
+// state, result budget, view cache) are the caller's to fill in.
 func PlanConfig() plan.Config {
-	return plan.Config{
-		MinDecomposeEdges: 2*BasicMaxSize + 2,
-		JoinBuffer:        4 * MatchOptions().MaxEmbeddings,
-	}
+	return plan.Config{MinDecomposeEdges: 2*BasicMaxSize + 2}
 }
 
 // ---------------------------------------------------------------------------

@@ -33,11 +33,10 @@ type Fragment struct {
 // (disconnected, too small, or too many components).
 //
 // Soundness requirement used by the executor: any embedding of the whole
-// pattern restricts to an embedding of each fragment, and conversely a
-// candidate assignment merged from complete fragment embedding sets that
-// agree on shared nodes, is injective, and passes an exact whole-pattern
-// verification IS an embedding. Fragments therefore never change the
-// answer — only how much of it is computed from cached views.
+// pattern restricts to an embedding of each fragment, so a graph missing
+// any fragment cannot contain the pattern. Fragments only prune the
+// candidates the executor verifies against the whole pattern; they never
+// change the answer, only how much of it is computed from cached views.
 func Decompose(a *AST, order []int, maxFragments int) []Fragment {
 	n, m := len(a.Nodes), len(a.Edges)
 	if !a.Connected || n < 3 || m < 4 || maxFragments < 2 {

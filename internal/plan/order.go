@@ -62,13 +62,13 @@ func nodeRarity(a *AST, st Stats, v int) int {
 // indexes). Two distinct edges never compare equal — the final component
 // is the unique (min,max) endpoint pair plus the edge's slot.
 type edgeKey struct {
-	rarity     int
-	labelID    int
-	loLabel    int
-	hiLabel    int
-	loNode     int
-	hiNode     int
-	index      int
+	rarity  int
+	labelID int
+	loLabel int
+	hiLabel int
+	loNode  int
+	hiNode  int
+	index   int
 }
 
 func (a *AST) keyOf(st Stats, ei int) edgeKey {

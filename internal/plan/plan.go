@@ -17,14 +17,15 @@
 //     runs, never which embeddings exist, so it is always safe to apply.
 //
 //  3. Compile chooses a Strategy with a deterministic cost model:
-//     monolithic VF2, decomposition into sub-pattern fragments joined on
-//     shared nodes (profitable when fragment views are cached or the
-//     pattern is large), or ANN-shortlist-then-verify (profitable when a
-//     small MaxResults budget meets a large candidate set). Every
-//     strategy returns exactly the monolithic answer — the plan layer
-//     trades work, not correctness; the executor (gindex.SearchPlan)
-//     verifies stitched matches with exact VF2 and falls back to the
-//     monolithic path whenever a shortcut cannot be proven sound.
+//     monolithic VF2, decomposition into sub-pattern fragments whose
+//     containment views are intersected to prune candidates (profitable
+//     when fragment views are cached or the pattern is large), or
+//     ANN-shortlist-then-verify (profitable when a small MaxResults budget
+//     meets a large candidate set). Every strategy returns exactly the
+//     monolithic answer — the plan layer trades work, not correctness:
+//     the executor (gindex.SearchPlan) confirms every match with exact
+//     VF2, and strategies differ only in which candidates it verifies
+//     and in what order.
 //
 // Plans are immutable and safe to share/cache; qcache.PlanKey keys them by
 // canonical query code and the index epoch vector so corpus updates
@@ -48,8 +49,8 @@ const (
 	// compiled matching order.
 	StrategyMonolithic Strategy = "monolithic"
 	// StrategyDecomposed probes cached per-fragment containment views,
-	// intersects them, and verifies only the joint survivors by stitching
-	// fragment embeddings (bounded join buffer + exact verification).
+	// intersects them, and verifies only the joint survivors with ordered
+	// VF2.
 	StrategyDecomposed Strategy = "decomposed"
 	// StrategyANN verifies the most embedding-similar candidates first so a
 	// MaxResults budget fills (and starts pruning) early, then completes an
@@ -65,10 +66,6 @@ type Config struct {
 	// MaxFragments caps the fragment count, prefix fragment included
 	// (0 = 3). More fragments mean more views to probe and join.
 	MaxFragments int
-	// JoinBuffer caps the fragment-embedding lists and partial assignments
-	// held while stitching one graph (0 = 256). Overflow falls back to
-	// plain VF2 for that graph — never an error, never a wrong answer.
-	JoinBuffer int
 	// ANN reports that the executing index carries similarity state, making
 	// StrategyANN available.
 	ANN bool
@@ -94,9 +91,6 @@ func (c Config) resolved() Config {
 	if c.MaxFragments <= 0 {
 		c.MaxFragments = 3
 	}
-	if c.JoinBuffer <= 0 {
-		c.JoinBuffer = 256
-	}
 	return c
 }
 
@@ -116,8 +110,6 @@ type Plan struct {
 	// picked another strategy, so a forced decomposed run needs no
 	// recompile).
 	Fragments []Fragment
-	// JoinBuffer is the resolved stitch buffer bound.
-	JoinBuffer int
 	// Connected reports the pattern is connected (decomposition requires
 	// it).
 	Connected bool
@@ -142,13 +134,6 @@ const (
 	// viewCacheDiscount scales fragment probe cost when views are served
 	// from a warm materialized-view cache.
 	viewCacheDiscount = 0.35
-	// stitchDiscount scales the verification cost of a stitched match
-	// relative to a from-scratch VF2 (fragment embeddings pre-anchor most
-	// of the mapping).
-	stitchDiscount = 0.6
-	// joinOverhead is the flat per-joint-candidate cost of merging
-	// fragment embedding lists.
-	joinOverhead = 32
 	// annShortlistFactor: StrategyANN pays off when the candidate estimate
 	// exceeds this multiple of the result budget.
 	annShortlistFactor = 4
@@ -168,10 +153,9 @@ func Compile(q *graph.Graph, st Stats, cfg Config) *Plan {
 	cfg = cfg.resolved()
 	a := Parse(q)
 	pl := &Plan{
-		Canon:      canon.String(q),
-		Order:      a.RarestFirstOrder(st),
-		JoinBuffer: cfg.JoinBuffer,
-		Connected:  a.Connected,
+		Canon:     canon.String(q),
+		Order:     a.RarestFirstOrder(st),
+		Connected: a.Connected,
 	}
 	n := st.Graphs()
 	if n <= 0 {
@@ -202,7 +186,7 @@ func Compile(q *graph.Graph, st Stats, cfg Config) *Plan {
 			probe *= viewCacheDiscount
 		}
 		estJoint := float64(n) * joint
-		pl.CostDecomposed = probe + math.Max(estJoint, 1)*(verifyCost(m)*stitchDiscount+joinOverhead)
+		pl.CostDecomposed = probe + math.Max(estJoint, 1)*verifyCost(m)
 		decomposed = pl.CostDecomposed < pl.CostMonolithic
 	}
 
@@ -248,7 +232,7 @@ func (p *Plan) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s order=%v", p.Strategy, p.Order)
 	if p.Strategy == StrategyDecomposed {
-		fmt.Fprintf(&b, " fragments=%d buffer=%d", len(p.Fragments), p.JoinBuffer)
+		fmt.Fprintf(&b, " fragments=%d", len(p.Fragments))
 	}
 	fmt.Fprintf(&b, " est_candidates=%.1f cost=%.0f/%.0f",
 		p.EstCandidates, p.CostMonolithic, p.CostDecomposed)

@@ -24,10 +24,10 @@ type Stats interface {
 // MapStats is a simple map-backed Stats, used by tests and by callers
 // without an index at hand.
 type MapStats struct {
-	N     int
-	Node  map[string]int
-	Edge  map[string]int
-	Trip  map[[3]string]int
+	N    int
+	Node map[string]int
+	Edge map[string]int
+	Trip map[[3]string]int
 }
 
 // Graphs implements Stats.

@@ -41,6 +41,10 @@ type flight[V any] struct {
 	epoch uint64
 	val   V
 	ok    bool
+
+	// panicked records that fn panicked with panicVal; waiters re-raise it.
+	panicked bool
+	panicVal any
 }
 
 // New returns a cache holding at most capacity entries (capacity <= 0
@@ -115,7 +119,9 @@ func (c *Cache[V]) Reset() {
 // Do returns the cached value for key, or computes it with fn. Concurrent
 // Do calls with the same key share one fn invocation. fn's second return
 // reports whether the value is cacheable — uncacheable results (errors,
-// truncated searches) are handed to every waiter but not stored.
+// truncated searches) are handed to every waiter but not stored. If fn
+// panics, the panic propagates to the caller that ran fn and to every
+// waiter, nothing is stored, and the next Do for key computes afresh.
 func (c *Cache[V]) Do(key string, fn func() (V, bool)) V {
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
@@ -129,6 +135,9 @@ func (c *Cache[V]) Do(key string, fn func() (V, bool)) V {
 		c.dedups++
 		c.mu.Unlock()
 		<-f.done
+		if f.panicked {
+			panic(f.panicVal)
+		}
 		return f.val
 	}
 	f := &flight[V]{done: make(chan struct{}), epoch: c.epoch}
@@ -136,9 +145,21 @@ func (c *Cache[V]) Do(key string, fn func() (V, bool)) V {
 	c.misses++
 	c.mu.Unlock()
 
+	defer c.land(key, f)
 	f.val, f.ok = fn()
-	close(f.done)
+	return f.val
+}
 
+// land completes the flight f for key once fn has returned or panicked:
+// it unregisters the flight, stores a cacheable result, and wakes the
+// waiters. It runs deferred, so a panicking fn cannot leave the flight
+// registered (which would block every later Do on key forever); the panic
+// is recorded for the waiters, nothing is stored, and the panic is then
+// re-raised in the caller that ran fn.
+func (c *Cache[V]) land(key string, f *flight[V]) {
+	if r := recover(); r != nil {
+		f.panicked, f.panicVal, f.ok = true, r, false
+	}
 	c.mu.Lock()
 	// Another flight may own the key already if a Reset ran while fn was
 	// in progress; only delete our own registration.
@@ -163,5 +184,8 @@ func (c *Cache[V]) Do(key string, fn func() (V, bool)) V {
 		}
 	}
 	c.mu.Unlock()
-	return f.val
+	close(f.done)
+	if f.panicked {
+		panic(f.panicVal)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestHitMissAndLRU(t *testing.T) {
@@ -187,5 +188,77 @@ func TestMetricsHitRatio(t *testing.T) {
 	m := c.Metrics()
 	if want := 2.0 / 3.0; m.HitRatio != want {
 		t.Fatalf("HitRatio = %v, want %v", m.HitRatio, want)
+	}
+}
+
+// TestDoPanicDoesNotWedge: when fn panics, the leader re-raises the
+// panic, a waiter on the same flight is released (re-raising it too)
+// instead of blocking forever, and the next Do on the key computes afresh
+// and caches.
+func TestDoPanicDoesNotWedge(t *testing.T) {
+	c := New[int](4)
+	// do runs c.Do on its own goroutine and reports its value or the
+	// panic it raised.
+	type outcome struct {
+		val      int
+		panicVal any
+	}
+	do := func(fn func() (int, bool)) <-chan outcome {
+		out := make(chan outcome, 1)
+		go func() {
+			var o outcome
+			defer func() {
+				o.panicVal = recover()
+				out <- o
+			}()
+			o.val = c.Do("k", fn)
+		}()
+		return out
+	}
+	wait := func(what string, ch <-chan outcome) outcome {
+		t.Helper()
+		select {
+		case o := <-ch:
+			return o
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s still blocked after 2s: the flight wedged", what)
+			return outcome{}
+		}
+	}
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	leader := do(func() (int, bool) {
+		close(entered)
+		<-release
+		panic("boom")
+	})
+	<-entered
+	waiter := do(func() (int, bool) { return -1, true })
+	for deadline := time.Now().Add(2 * time.Second); ; {
+		if _, _, dedups := c.Stats(); dedups == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("waiter never joined the leader's flight")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+
+	if o := wait("leader", leader); o.panicVal != "boom" {
+		t.Fatalf("leader: got %+v, want the panic re-raised", o)
+	}
+	if o := wait("waiter", waiter); o.panicVal != nil && o.panicVal != "boom" {
+		t.Fatalf("waiter: got %+v", o)
+	}
+	calls := 0
+	fresh := func() (int, bool) { calls++; return 7, true }
+	for i := 0; i < 2; i++ {
+		if o := wait("next Do", do(fresh)); o.panicVal != nil || o.val != 7 {
+			t.Fatalf("next Do #%d: got %+v, want 7", i, o)
+		}
+	}
+	if calls != 1 || c.Len() != 1 {
+		t.Fatalf("after the panic: %d computations, %d entries; want 1 and 1", calls, c.Len())
 	}
 }

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Repo verification: build, vet, full tests, then the race detector over
+# Repo verification: build, vet, gofmt, full tests, then the race detector over
 # every package (the parallel layer in internal/par and its call sites are
 # only trustworthy under -race), and finally a focused fault-injection
 # smoke pass over the hardened serving layer. Run from the repo root.
@@ -11,6 +11,13 @@ go build ./...
 
 echo "== go vet =="
 go vet ./...
+
+echo "== gofmt =="
+# Tracked and untracked-but-not-ignored Go files, so build output under
+# ignored directories is never scanned.
+unformatted="$(git ls-files -co --exclude-standard -- '*.go' | xargs gofmt -l)"
+[[ -z "$unformatted" ]] \
+  || { echo "gofmt -l reports unformatted files:"; echo "$unformatted"; exit 1; }
 
 echo "== go test =="
 go test ./...
