@@ -281,33 +281,42 @@ func SampleCandidates(csg *closure.CSG, b pattern.Budget, walks int, rng *rand.R
 		lo := sort.SearchInts(cum, x+1)
 		return graph.EdgeID(lo)
 	}
+	// Stamped marks, allocated once per call and reused by every walk:
+	// edge e is in walk w iff walkMark[e] == w+1, node v iff
+	// nodeMark[v] == w+1, and edge e is in the current step's frontier iff
+	// frontMark[e] == step.
+	walkMark := make([]uint32, g.NumEdges())
+	frontMark := make([]uint32, g.NumEdges())
+	nodeMark := make([]uint32, g.NumNodes())
+	var step uint32
+	var nodeList []graph.NodeID // insertion-ordered for determinism
+	var walkEdges, frontier []graph.EdgeID
 	var out []*pattern.Pattern
 	for w := 0; w < walks; w++ {
+		mark := uint32(w + 1)
 		target := b.MinSize + rng.Intn(b.MaxSize-b.MinSize+1)
-		inWalk := map[graph.EdgeID]bool{}
-		inNodes := map[graph.NodeID]bool{}
-		var nodeList []graph.NodeID // insertion-ordered for determinism
+		nodeList = nodeList[:0]
 		addNode := func(v graph.NodeID) {
-			if !inNodes[v] {
-				inNodes[v] = true
+			if nodeMark[v] != mark {
+				nodeMark[v] = mark
 				nodeList = append(nodeList, v)
 			}
 		}
 		start := pickStart()
-		walkEdges := []graph.EdgeID{start}
-		inWalk[start] = true
+		walkEdges = append(walkEdges[:0], start)
+		walkMark[start] = mark
 		se := g.Edge(start)
 		addNode(se.U)
 		addNode(se.V)
 		for len(walkEdges) < target {
 			// Frontier: edges incident to walked nodes, not yet in walk.
-			var frontier []graph.EdgeID
+			step++
+			frontier = frontier[:0]
 			fTotal := 0
-			inFrontier := map[graph.EdgeID]bool{}
 			for _, v := range nodeList {
 				g.VisitNeighbors(v, func(_ graph.NodeID, e graph.EdgeID) bool {
-					if !inWalk[e] && !inFrontier[e] {
-						inFrontier[e] = true
+					if walkMark[e] != mark && frontMark[e] != step {
+						frontMark[e] = step
 						frontier = append(frontier, e)
 						fTotal += csg.EdgeWeight[e]
 					}
@@ -326,7 +335,7 @@ func SampleCandidates(csg *closure.CSG, b pattern.Budget, walks int, rng *rand.R
 					break
 				}
 			}
-			inWalk[next] = true
+			walkMark[next] = mark
 			walkEdges = append(walkEdges, next)
 			ne := g.Edge(next)
 			addNode(ne.U)

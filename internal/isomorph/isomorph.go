@@ -16,6 +16,7 @@ package isomorph
 
 import (
 	"context"
+	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -145,19 +146,32 @@ type Result struct {
 	Reason StopReason
 }
 
+// matcher is one matching run's state. Its slices are scratch buffers that
+// a run sizes to its pattern (used: to its target) and that outlive the run
+// in matcherPool, so a warm Enumerate spends no allocations on set-up.
 type matcher struct {
 	p, t     *graph.Graph
 	opts     Options
 	order    []graph.NodeID // pattern matching order
 	anchors  []anchor       // for order[i>0]: a previously-matched neighbor + edge label
-	pAdj     [][]pedge      // pattern adjacency with labels
+	pAdj     [][]pedge      // pattern adjacency with labels; rows slice adjBuf
+	adjBuf   []pedge        // every pattern adjacency entry, row after row
 	core     []graph.NodeID // pattern node -> target node (-1 unmatched)
-	used     []bool         // target node already used
+	used     []bool         // target node already used; all false between runs
+	inOrder  []bool         // pattern node already placed in order
+	rarity   []int          // pattern node -> target nodes its label matches
+	labels   []string       // distinct non-wildcard pattern labels (rarity scratch)
+	counts   []int          // target frequency of each of labels (rarity scratch)
 	fn       func(mapping []graph.NodeID) bool
 	res      Result
 	stopped  bool
 	ctxEvery int // poll Ctx every this many steps (0 = no context)
 }
+
+// matcherPool recycles matchers and their buffers across runs. A matcher
+// returns to the pool only after its run completes, so an fn that
+// re-enters Enumerate gets a matcher of its own.
+var matcherPool = sync.Pool{New: func() any { return new(matcher) }}
 
 type pedge struct {
 	to    graph.NodeID
@@ -189,9 +203,10 @@ func Count(pattern, target *graph.Graph, opts Options) Result {
 
 // Enumerate finds embeddings of pattern in target and calls fn for each one
 // with the mapping from pattern node IDs to target node IDs. The mapping
-// slice is reused between calls; fn must copy it to retain it. Enumeration
-// stops when fn returns false, the embedding cap is hit, or the step budget
-// is exhausted. fn may be nil (counting only).
+// slice is reused between calls and after Enumerate returns; fn must copy
+// it to retain it. Enumeration stops when fn returns false, the embedding
+// cap is hit, or the step budget is exhausted. fn may be nil (counting
+// only).
 //
 // The empty pattern has exactly one (empty) embedding in any target.
 func Enumerate(pattern, target *graph.Graph, opts Options, fn func(mapping []graph.NodeID) bool) Result {
@@ -201,136 +216,204 @@ func Enumerate(pattern, target *graph.Graph, opts Options, fn func(mapping []gra
 }
 
 func enumerate(pattern, target *graph.Graph, opts Options, fn func(mapping []graph.NodeID) bool) Result {
-	m := &matcher{p: pattern, t: target, opts: opts, fn: fn}
+	// An already-dead context yields an immediate, clearly-marked
+	// truncation instead of paying for even one search step.
+	if opts.Ctx != nil && opts.Ctx.Err() != nil {
+		return Result{Truncated: true, Reason: StopCanceled}
+	}
+	if pattern.NumNodes() == 0 {
+		if fn != nil {
+			fn(nil)
+		}
+		return Result{Embeddings: 1}
+	}
+	if pattern.NumNodes() > target.NumNodes() || pattern.NumEdges() > target.NumEdges() {
+		return Result{}
+	}
+	m := matcherPool.Get().(*matcher)
+	m.p, m.t, m.opts, m.fn = pattern, target, opts, fn
+	m.res, m.stopped, m.ctxEvery = Result{}, false, 0
 	if opts.Ctx != nil {
 		m.ctxEvery = opts.CheckEvery
 		if m.ctxEvery <= 0 {
 			m.ctxEvery = DefaultCheckEvery
 		}
-		// An already-dead context yields an immediate, clearly-marked
-		// truncation instead of paying for even one search step.
-		if opts.Ctx.Err() != nil {
-			m.res.Truncated = true
-			m.res.Reason = StopCanceled
-			return m.res
-		}
-	}
-	if pattern.NumNodes() == 0 {
-		m.res.Embeddings = 1
-		if fn != nil {
-			fn(nil)
-		}
-		return m.res
-	}
-	if pattern.NumNodes() > target.NumNodes() || pattern.NumEdges() > target.NumEdges() {
-		return m.res
 	}
 	m.prepare()
-	m.core = make([]graph.NodeID, pattern.NumNodes())
+	m.core = resize(m.core, pattern.NumNodes())
 	for i := range m.core {
 		m.core[i] = -1
 	}
-	m.used = make([]bool, target.NumNodes())
+	// Every search backtracks used to all false, so a pooled buffer needs
+	// no clearing.
+	m.used = resize(m.used, target.NumNodes())
 	m.search(0)
-	return m.res
+	res := m.res
+	m.p, m.t, m.opts, m.fn = nil, nil, Options{}, nil
+	matcherPool.Put(m)
+	return res
 }
 
-// prepare computes the matching order: a connectivity-preserving order that
-// starts at the most constrained node (rarest label, then highest degree)
-// and always extends the matched frontier when possible (patterns may be
-// disconnected; each new component restarts at its most constrained node).
-// A valid Options.Order short-circuits the heuristic entirely.
+// resize returns s with length n, reusing its backing array when it is
+// large enough. Elements keep whatever the backing array held; a fresh
+// array is zeroed.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// prepare builds the pattern adjacency and computes the matching order: a
+// connectivity-preserving order that starts at the most constrained node
+// (rarest label, then highest degree) and always extends the matched
+// frontier when possible (patterns may be disconnected; each new component
+// restarts at its most constrained node). A valid Options.Order
+// short-circuits the heuristic entirely.
 func (m *matcher) prepare() {
 	n := m.p.NumNodes()
-	m.pAdj = make([][]pedge, n)
+	// One flat buffer holds every row, sized up front so appends never
+	// move the rows already sliced from it.
+	if deg := 2 * m.p.NumEdges(); cap(m.adjBuf) < deg {
+		m.adjBuf = make([]pedge, 0, deg)
+	}
+	m.adjBuf = m.adjBuf[:0]
+	m.pAdj = resize(m.pAdj, n)
 	for i := 0; i < n; i++ {
+		start := len(m.adjBuf)
 		m.p.VisitNeighbors(i, func(nbr graph.NodeID, e graph.EdgeID) bool {
-			m.pAdj[i] = append(m.pAdj[i], pedge{to: nbr, label: m.p.EdgeLabel(e)})
+			m.adjBuf = append(m.adjBuf, pedge{to: nbr, label: m.p.EdgeLabel(e)})
 			return true
 		})
+		m.pAdj[i] = m.adjBuf[start:len(m.adjBuf):len(m.adjBuf)]
 	}
+	m.anchors = resize(m.anchors, n)
 	if m.adoptOrder(m.opts.Order) {
 		return
 	}
-	// Rarity of node labels in the target guides the start node: a
-	// prebuilt LabelIndex answers frequencies directly, otherwise count
-	// once into a map.
-	var tLabelFreq map[string]int
-	if m.opts.TargetIndex == nil {
-		tLabelFreq = m.t.NodeLabels()
-	}
-	rarity := func(v graph.NodeID) int {
-		l := m.p.NodeLabel(v)
-		if l == Wildcard {
-			return m.t.NumNodes()
-		}
-		if ix := m.opts.TargetIndex; ix != nil {
-			return ix.Freq(l)
-		}
-		return tLabelFreq[l]
-	}
-	inOrder := make([]bool, n)
+	m.computeRarity()
+	m.clearInOrder(n)
 	m.order = m.order[:0]
-	m.anchors = make([]anchor, n)
 	for len(m.order) < n {
 		// Pick the best frontier node: adjacent to the matched set if any
 		// such node exists, otherwise the best unmatched node (new
 		// component).
 		best := graph.NodeID(-1)
 		bestAnchored := false
-		better := func(v graph.NodeID, anchored bool) bool {
-			if best == -1 {
-				return true
-			}
-			if anchored != bestAnchored {
-				return anchored
-			}
-			rv, rb := rarity(v), rarity(best)
-			if rv != rb {
-				return rv < rb
-			}
-			dv, db := len(m.pAdj[v]), len(m.pAdj[best])
-			if dv != db {
-				return dv > db
-			}
-			// Equal rarity and degree: break the tie by label, not node
-			// index, so two drawings of the same pattern (nodes inserted in
-			// different orders) compute label-identical matching orders —
-			// required for compiled plans to be byte-stable across runs.
-			if lv, lb := m.p.NodeLabel(v), m.p.NodeLabel(best); lv != lb {
-				return lv < lb
-			}
-			return v < best
-		}
 		for v := 0; v < n; v++ {
-			if inOrder[v] {
+			if m.inOrder[v] {
 				continue
 			}
 			anchored := false
 			for _, pe := range m.pAdj[v] {
-				if inOrder[pe.to] {
+				if m.inOrder[pe.to] {
 					anchored = true
 					break
 				}
 			}
-			if better(v, anchored) {
+			if best == -1 || m.better(v, anchored, best, bestAnchored) {
 				best = v
 				bestAnchored = anchored
 			}
 		}
 		idx := len(m.order)
 		m.order = append(m.order, best)
-		inOrder[best] = true
+		m.inOrder[best] = true
 		m.anchors[idx] = anchor{prev: -1}
 		if bestAnchored {
 			for _, pe := range m.pAdj[best] {
-				if pe.to != best && containsNode(m.order[:idx], pe.to) {
+				if pe.to != best && m.inOrder[pe.to] {
 					m.anchors[idx] = anchor{prev: pe.to, label: pe.label}
 					break
 				}
 			}
 		}
 	}
+}
+
+// better reports whether unplaced pattern node v should take the next
+// order slot from the current pick best; anchored and bestAnchored say
+// whether each has a neighbor already placed.
+func (m *matcher) better(v graph.NodeID, anchored bool, best graph.NodeID, bestAnchored bool) bool {
+	if anchored != bestAnchored {
+		return anchored
+	}
+	if rv, rb := m.rarity[v], m.rarity[best]; rv != rb {
+		return rv < rb
+	}
+	if dv, db := len(m.pAdj[v]), len(m.pAdj[best]); dv != db {
+		return dv > db
+	}
+	// Equal rarity and degree: break the tie by label, not node index, so
+	// two drawings of the same pattern (nodes inserted in different
+	// orders) compute label-identical matching orders — required for
+	// compiled plans to be byte-stable across runs.
+	if lv, lb := m.p.NodeLabel(v), m.p.NodeLabel(best); lv != lb {
+		return lv < lb
+	}
+	return v < best
+}
+
+// computeRarity sets each pattern node's rarity: how many target nodes its
+// label matches. A wildcard matches every node; a prebuilt LabelIndex
+// answers the rest directly; otherwise one scan of the target counts just
+// the pattern's distinct labels.
+func (m *matcher) computeRarity() {
+	m.rarity = resize(m.rarity, m.p.NumNodes())
+	if ix := m.opts.TargetIndex; ix != nil {
+		for v := range m.rarity {
+			if l := m.p.NodeLabel(v); l == Wildcard {
+				m.rarity[v] = m.t.NumNodes()
+			} else {
+				m.rarity[v] = ix.Freq(l)
+			}
+		}
+		return
+	}
+	// rarity[v] first holds the index of v's label in labels (-1 for a
+	// wildcard), then that label's count.
+	m.labels = m.labels[:0]
+	for v := range m.rarity {
+		l := m.p.NodeLabel(v)
+		if l == Wildcard {
+			m.rarity[v] = -1
+			continue
+		}
+		k := 0
+		for k < len(m.labels) && m.labels[k] != l {
+			k++
+		}
+		if k == len(m.labels) {
+			m.labels = append(m.labels, l)
+		}
+		m.rarity[v] = k
+	}
+	m.counts = resize(m.counts, len(m.labels))
+	clear(m.counts)
+	if len(m.labels) > 0 {
+		for tv := 0; tv < m.t.NumNodes(); tv++ {
+			tl := m.t.NodeLabel(tv)
+			for k, l := range m.labels {
+				if l == tl {
+					m.counts[k]++
+					break
+				}
+			}
+		}
+	}
+	for v, k := range m.rarity {
+		if k < 0 {
+			m.rarity[v] = m.t.NumNodes()
+		} else {
+			m.rarity[v] = m.counts[k]
+		}
+	}
+}
+
+// clearInOrder sizes inOrder to n pattern nodes, all unplaced.
+func (m *matcher) clearInOrder(n int) {
+	m.inOrder = resize(m.inOrder, n)
+	clear(m.inOrder)
 }
 
 // adoptOrder installs a caller-supplied matching order (Options.Order) if
@@ -345,36 +428,26 @@ func (m *matcher) adoptOrder(ord []graph.NodeID) bool {
 	if len(ord) != n {
 		return false
 	}
-	seen := make([]bool, n)
+	m.clearInOrder(n)
 	for _, v := range ord {
-		if v < 0 || v >= n || seen[v] {
+		if v < 0 || v >= n || m.inOrder[v] {
 			return false
 		}
-		seen[v] = true
+		m.inOrder[v] = true
 	}
 	m.order = append(m.order[:0], ord...)
-	m.anchors = make([]anchor, n)
-	inOrder := make([]bool, n)
+	m.clearInOrder(n)
 	for i, v := range ord {
 		m.anchors[i] = anchor{prev: -1}
 		for _, pe := range m.pAdj[v] {
-			if pe.to != v && inOrder[pe.to] {
+			if pe.to != v && m.inOrder[pe.to] {
 				m.anchors[i] = anchor{prev: pe.to, label: pe.label}
 				break
 			}
 		}
-		inOrder[v] = true
+		m.inOrder[v] = true
 	}
 	return true
-}
-
-func containsNode(s []graph.NodeID, v graph.NodeID) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 func (m *matcher) search(depth int) {

@@ -6,9 +6,10 @@ import "repro/internal/graph"
 // graph: label -> the ascending list of target nodes carrying it. Built
 // once per corpus graph (gindex does this at index-build time) and passed
 // to the matcher via Options.TargetIndex, it replaces two per-call costs:
-// the NodeLabels frequency map the matcher otherwise rebuilds to rank
-// pattern nodes by rarity, and the full 0..n root scan for each pattern
-// component, which shrinks to just the nodes in the root label's class.
+// the scan of every target node the matcher otherwise makes to count its
+// pattern's labels when ranking pattern nodes by rarity, and the full 0..n
+// root scan for each pattern component, which shrinks to just the nodes in
+// the root label's class.
 //
 // A LabelIndex is immutable after Build and is only valid for the exact
 // graph it was built from; rebuild after any target mutation.

@@ -1,0 +1,5 @@
+//go:build !race
+
+package isomorph
+
+const raceEnabled = false

@@ -1,8 +1,10 @@
 package pattern
 
 import (
+	"math/rand"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/graph"
 )
 
@@ -76,3 +78,26 @@ func TestUniverseAndCoverBitset(t *testing.T) {
 		t.Fatal("empty pattern must cover nothing")
 	}
 }
+
+// BenchmarkCoverBitset times one pattern's covered-edge sweep over an
+// 80-compound corpus, the unit of work CATAPULT and MIDAS selection repeat
+// per candidate. Run with -benchmem: the per-graph matcher set-up should
+// not show up as allocations.
+func BenchmarkCoverBitset(b *testing.B) {
+	opts := datagen.ChemicalOptions{MinNodes: 14, MaxNodes: 30}
+	c := datagen.ChemicalCorpus(41, 80, opts)
+	u := NewUniverse(c)
+	rng := rand.New(rand.NewSource(1))
+	var pats []*Pattern
+	for i := 0; i < 8; i++ {
+		src := c.Graph(rng.Intn(c.Len()))
+		pats = append(pats, New(datagen.RandomConnectedSubgraph(rng, src, 4+rng.Intn(4)), "bench"))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchBitset = CoverBitset(pats[i%len(pats)], c, u, MatchOptions())
+	}
+}
+
+var benchBitset Bitset

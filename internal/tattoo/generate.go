@@ -20,6 +20,15 @@ type generator struct {
 
 	trussEdges     []graph.EdgeID // trussness ≥ k
 	obliviousEdges []graph.EdgeID // trussness < k
+
+	// sampleCycle's BFS scratch, allocated on first use by each class
+	// task's generator copy and reused across its samples: node v is seen
+	// by the current BFS iff seen[v] == stamp, and then depth[v] holds its
+	// BFS depth.
+	seen   []uint32
+	depth  []int32
+	stamp  uint32
+	crumbs []crumb
 }
 
 func (gen *generator) buildRegionEdgeLists() {
@@ -170,29 +179,40 @@ func (gen *generator) sampleTree() []graph.EdgeID {
 	return edges
 }
 
+// crumb is one node reached by sampleCycle's BFS: the edge it was reached
+// by and the index of the crumb it was reached from.
+type crumb struct {
+	node graph.NodeID
+	via  graph.EdgeID
+	prev int
+}
+
 // sampleCycle finds a simple cycle through a random G_O edge via a
 // depth-limited BFS between its endpoints that avoids the edge itself.
-// Cycles of length ≥ 4 live outside triangles, hence G_O.
+// Only the start edge is drawn from G_O: the BFS walks every edge of the
+// network, so the closing path may run through G_T.
 func (gen *generator) sampleCycle() []graph.EdgeID {
 	start, ok := gen.randomEdge(gen.obliviousEdges)
 	if !ok {
 		return nil
 	}
 	e := gen.g.Edge(start)
-	maxLen := gen.budget.MaxSize - 1 // path edges allowed
-	type crumb struct {
-		node graph.NodeID
-		via  graph.EdgeID
-		prev int
+	maxLen := int32(gen.budget.MaxSize - 1) // path edges allowed
+	if gen.seen == nil {
+		gen.seen = make([]uint32, gen.g.NumNodes())
+		gen.depth = make([]int32, gen.g.NumNodes())
 	}
-	crumbs := []crumb{{node: e.U, via: -1, prev: -1}}
-	visited := map[graph.NodeID]bool{e.U: true}
-	queue := []int{0}
-	depth := map[graph.NodeID]int{e.U: 0}
-	for len(queue) > 0 {
-		ci := queue[0]
-		queue = queue[1:]
-		cur := crumbs[ci]
+	if gen.stamp++; gen.stamp == 0 {
+		clear(gen.seen)
+		gen.stamp = 1
+	}
+	seen, depth, stamp := gen.seen, gen.depth, gen.stamp
+	// Every crumb but the one that reaches e.V is enqueued as it is
+	// appended, so the BFS queue is just crumbs[head:].
+	crumbs := append(gen.crumbs[:0], crumb{node: e.U, via: -1, prev: -1})
+	seen[e.U], depth[e.U] = stamp, 0
+	for head := 0; head < len(crumbs); head++ {
+		cur := crumbs[head]
 		if depth[cur.node] >= maxLen {
 			continue
 		}
@@ -202,15 +222,14 @@ func (gen *generator) sampleCycle() []graph.EdgeID {
 				return true
 			}
 			if nbr == e.V {
-				crumbs = append(crumbs, crumb{node: nbr, via: eid, prev: ci})
+				crumbs = append(crumbs, crumb{node: nbr, via: eid, prev: head})
 				found = len(crumbs) - 1
 				return false
 			}
-			if !visited[nbr] {
-				visited[nbr] = true
+			if seen[nbr] != stamp {
+				seen[nbr] = stamp
 				depth[nbr] = depth[cur.node] + 1
-				crumbs = append(crumbs, crumb{node: nbr, via: eid, prev: ci})
-				queue = append(queue, len(crumbs)-1)
+				crumbs = append(crumbs, crumb{node: nbr, via: eid, prev: head})
 			}
 			return true
 		})
@@ -219,9 +238,11 @@ func (gen *generator) sampleCycle() []graph.EdgeID {
 			for i := found; crumbs[i].via >= 0; i = crumbs[i].prev {
 				edges = append(edges, crumbs[i].via)
 			}
+			gen.crumbs = crumbs
 			return edges
 		}
 	}
+	gen.crumbs = crumbs
 	return nil
 }
 

@@ -22,6 +22,11 @@ unformatted="$(git ls-files -co --exclude-standard -- '*.go' | xargs gofmt -l)"
 echo "== go test =="
 go test ./...
 
+echo "== go test (vqibench module) =="
+# vqibench is its own module (it replaces repro with ../), so the root
+# go test ./... never reaches it.
+(cd vqibench && go test ./...)
+
 echo "== go test -race =="
 go test -race ./...
 
