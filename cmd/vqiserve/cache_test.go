@@ -8,9 +8,14 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/canon"
 	"repro/internal/catapult"
 	"repro/internal/datagen"
+	"repro/internal/gindex"
+	"repro/internal/graph"
 	"repro/internal/pattern"
+	"repro/internal/plan"
+	"repro/internal/qcache"
 	"repro/internal/vqi"
 )
 
@@ -132,5 +137,41 @@ func TestCacheDisabledByDefaultConfig(t *testing.T) {
 	body := `{"nodes":["C","C"],"edges":[{"u":0,"v":1,"label":"s"}]}`
 	if rec, _ := cachePost(t, s, body); rec.Code != 200 {
 		t.Fatalf("status = %d", rec.Code)
+	}
+}
+
+// TestQueryCacheKeys pins the keys of the three caches one /api/query
+// fills — response, plan and per-shard partials — to the query's
+// canonical code.
+func TestQueryCacheKeys(t *testing.T) {
+	s := cachedTestServer(t)
+	body := `{"nodes":["C","O","C"],"edges":[{"u":0,"v":1,"label":"s"},{"u":1,"v":2,"label":"s"}]}`
+	rec := httptest.NewRecorder()
+	s.handleQuery(rec, httptest.NewRequest("POST", "/api/query?plan=monolithic", strings.NewReader(body)))
+	if rec.Code != 200 {
+		t.Fatalf("status = %d (%s)", rec.Code, rec.Body)
+	}
+	q := graph.New("q")
+	q.AddNode("C")
+	q.AddNode("O")
+	q.AddNode("C")
+	q.MustAddEdge(0, 1, "s")
+	q.MustAddEdge(1, 2, "s")
+	code := canon.String(q)
+	_, idx := s.snapshot()
+	// Do runs its function only on a miss.
+	s.qc.Do(qcache.EpochKey(code+"|plan=monolithic", idx.Epochs()), func() (cachedResponse, bool) {
+		t.Error("no response cached under the canonical response key")
+		return cachedResponse{}, false
+	})
+	s.planQC.Do(qcache.PlanKey(code+"|m=monolithic", idx.Epochs()), func() (*plan.Plan, bool) {
+		t.Error("no plan cached under the canonical plan key")
+		return nil, false
+	})
+	for si := 0; si < idx.NumShards(); si++ {
+		s.shardQC.Do(qcache.ShardKey(code, si, idx.Epoch(si)), func() (gindex.ShardResult, bool) {
+			t.Errorf("no partial for shard %d cached under the canonical shard key", si)
+			return gindex.ShardResult{}, false
+		})
 	}
 }

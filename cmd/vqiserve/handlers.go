@@ -239,13 +239,19 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx := r.Context()
 	corpus, idx := s.snapshot()
+	// One canonical code keys every cache this request touches: the plan,
+	// the response and the per-shard partials.
+	var code string
+	if s.qc != nil || s.planQC != nil || s.shardQC != nil {
+		code = canon.String(q)
+	}
 	// Compile (or fetch) the plan before the response cache: compilation is
 	// cheap and plan-cached, and a ?plan= request needs the summary even
 	// when the answer itself is served from cache.
 	var pl *plan.Plan
 	if mode != "off" && !s.network && idx != nil {
 		_, span := obs.StartSpan(ctx, "plan.compile")
-		pl = s.compiledPlan(idx, q, mode)
+		pl = s.compiledPlan(idx, q, code, mode)
 		span.End()
 	}
 	finish := func(resp queryResponse, status int) {
@@ -255,7 +261,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, status, resp)
 	}
 	if s.qc == nil {
-		resp, status := s.execQuery(ctx, q, corpus, idx, pl)
+		resp, status := s.execQuery(ctx, q, code, corpus, idx, pl)
 		finish(resp, status)
 		return
 	}
@@ -271,12 +277,12 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// its waiters but never cached. Waiters de-duplicated onto an in-flight
 	// computation share the leader's outcome (including its budget), which
 	// is the desired behavior for a stampede of identical queries.
-	key := canon.String(q) + "|plan=" + mode
+	key := code + "|plan=" + mode
 	if idx != nil {
 		key = qcache.EpochKey(key, idx.Epochs())
 	}
 	out := s.qc.Do(key, func() (cachedResponse, bool) {
-		resp, status := s.execQuery(ctx, q, corpus, idx, pl)
+		resp, status := s.execQuery(ctx, q, code, corpus, idx, pl)
 		return cachedResponse{resp: resp, status: status},
 			status == http.StatusOK && !resp.Truncated
 	})
@@ -308,9 +314,10 @@ func (s *server) planParam(w http.ResponseWriter, r *http.Request) (string, bool
 }
 
 // compiledPlan compiles q for the given mode, serving repeats from the
-// plan cache. PlanKey scopes the entry to the full epoch vector: plans
-// bake in corpus-wide label statistics, so any shard rebuild retires them.
-func (s *server) compiledPlan(idx *gindex.Sharded, q *graph.Graph, mode string) *plan.Plan {
+// plan cache under q's canonical code. PlanKey scopes the entry to the
+// full epoch vector: plans bake in corpus-wide label statistics, so any
+// shard rebuild retires them.
+func (s *server) compiledPlan(idx *gindex.Sharded, q *graph.Graph, code, mode string) *plan.Plan {
 	cfg := pattern.PlanConfig()
 	cfg.ANN = s.annEnabled
 	cfg.MaxResults = s.maxResults
@@ -326,7 +333,7 @@ func (s *server) compiledPlan(idx *gindex.Sharded, q *graph.Graph, mode string) 
 	if s.planQC == nil {
 		return idx.CompilePlan(q, cfg)
 	}
-	key := qcache.PlanKey(canon.String(q)+"|m="+mode, idx.Epochs())
+	key := qcache.PlanKey(code+"|m="+mode, idx.Epochs())
 	return s.planQC.Do(key, func() (*plan.Plan, bool) {
 		return idx.CompilePlan(q, cfg), true
 	})
@@ -354,11 +361,12 @@ func (s *server) attachPlanTrace(resp *queryResponse, r *http.Request, mode stri
 
 // execQuery answers a decoded query graph against one (corpus, index)
 // snapshot: network-mode embedding count, sharded filter-verify, or the
-// pre-index fallback scan. Returns the response and the HTTP status to
-// serve it with. Taking the snapshot as parameters (rather than reading
+// pre-index fallback scan; code is q's canonical code (empty when the
+// caches are off). Returns the response and the HTTP status to serve it
+// with. Taking the snapshot as parameters (rather than reading
 // s.corpus/s.index) keeps one request on one corpus version even if an
 // admin update lands mid-query.
-func (s *server) execQuery(ctx context.Context, q *graph.Graph, corpus *graph.Corpus, idx *gindex.Sharded, pl *plan.Plan) (queryResponse, int) {
+func (s *server) execQuery(ctx context.Context, q *graph.Graph, code string, corpus *graph.Corpus, idx *gindex.Sharded, pl *plan.Plan) (queryResponse, int) {
 	var resp queryResponse
 	status := http.StatusOK
 	if s.network {
@@ -370,7 +378,7 @@ func (s *server) execQuery(ctx context.Context, q *graph.Graph, corpus *graph.Co
 			status = http.StatusGatewayTimeout
 		}
 	} else if idx != nil {
-		res := s.searchSharded(ctx, idx, q, pl)
+		res := s.searchSharded(ctx, idx, q, code, pl)
 		resp.Matched = res.Matches
 		resp.Truncated = res.Truncated
 		if ctx.Err() != nil {
@@ -416,7 +424,7 @@ func (s *server) execQuery(ctx context.Context, q *graph.Graph, corpus *graph.Co
 // and therefore cacheable; MergeShardResults re-applies the global cap.
 // Without the cache, the shared-budget fan-out in SearchCtx is cheaper
 // and is used directly.
-func (s *server) searchSharded(ctx context.Context, idx *gindex.Sharded, q *graph.Graph, pl *plan.Plan) gindex.Result {
+func (s *server) searchSharded(ctx context.Context, idx *gindex.Sharded, q *graph.Graph, code string, pl *plan.Plan) gindex.Result {
 	opts := pattern.MatchOptions()
 	opts.MaxResults = s.maxResults
 	if pl != nil {
@@ -428,10 +436,9 @@ func (s *server) searchSharded(ctx context.Context, idx *gindex.Sharded, q *grap
 	if s.shardQC == nil {
 		return idx.SearchCtx(ctx, q, opts)
 	}
-	base := canon.String(q)
 	partials := make([]gindex.ShardResult, idx.NumShards())
 	par.ForEachN(idx.NumShards(), s.workers, func(si int) {
-		key := qcache.ShardKey(base, si, idx.Epoch(si))
+		key := qcache.ShardKey(code, si, idx.Epoch(si))
 		partials[si] = s.shardQC.Do(key, func() (gindex.ShardResult, bool) {
 			// A partial cut short by cancellation is incomplete for this
 			// shard; hand it to waiters but never cache it.
@@ -444,16 +451,10 @@ func (s *server) searchSharded(ctx context.Context, idx *gindex.Sharded, q *grap
 
 // facets groups matched graphs by the spec's canned patterns.
 func (s *server) facets(matched []string, corpus *graph.Corpus) []facetEntry {
-	if len(matched) == 0 {
+	if len(matched) == 0 || s.canned == nil {
 		return nil
 	}
-	panel, err := s.spec.AllPatterns()
-	if err != nil {
-		return nil
-	}
-	// Only canned patterns facet usefully; basics match almost everything.
-	canned := panel[len(s.spec.Patterns.Basic):]
-	fs, _ := results.Facets(matched, corpus, canned, pattern.MatchOptions())
+	fs, _ := results.Facets(matched, corpus, s.canned, pattern.MatchOptions())
 	var out []facetEntry
 	for _, f := range fs {
 		out = append(out, facetEntry{

@@ -68,6 +68,7 @@ import (
 	"repro/internal/gio"
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/pattern"
 	"repro/internal/plan"
 	"repro/internal/qcache"
 	"repro/internal/store"
@@ -84,7 +85,11 @@ const (
 )
 
 type server struct {
-	spec    *vqi.Spec
+	spec *vqi.Spec
+	// canned is the spec's canned panel decoded once at startup (the spec
+	// never changes while serving); facets match against it. Nil when the
+	// spec does not decode, which disables facets.
+	canned  []*pattern.Pattern
 	network bool
 	workers int // worker pool size for per-graph query verification
 
@@ -238,6 +243,10 @@ func newServer(spec *vqi.Spec, corpus *graph.Corpus, cfg serverConfig) *server {
 		annEnabled:   cfg.annEnabled,
 		annCfg:       cfg.annCfg,
 		planEnabled:  cfg.planEnabled,
+	}
+	if panel, err := spec.AllPatterns(); err == nil {
+		// Only canned patterns facet usefully; basics match almost everything.
+		s.canned = panel[len(spec.Patterns.Basic):]
 	}
 	if cfg.cacheSize > 0 {
 		s.qc = qcache.New[cachedResponse](cfg.cacheSize)

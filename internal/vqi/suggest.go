@@ -35,14 +35,15 @@ type Suggestion struct {
 // no pattern in mind.
 func (s *Session) Suggest(limit int) ([]Suggestion, error) {
 	all := append(append([]PatternSpec(nil), s.Spec.Patterns.Basic...), s.Spec.Patterns.Canned...)
+	graphs, err := s.Spec.panelGraphs(all)
+	if err != nil {
+		return nil, err
+	}
 	var out []Suggestion
 	q := s.Query
 	opts := isomorph.Options{MaxEmbeddings: 1, MaxSteps: 100000}
 	for i, ps := range all {
-		pg, err := ps.PatternGraph()
-		if err != nil {
-			return nil, err
-		}
+		pg := graphs[i]
 		if pg.NumEdges() <= q.NumEdges() {
 			continue // not a continuation
 		}
@@ -90,4 +91,56 @@ func wildcardQuery(q *graph.Graph) *graph.Graph {
 func SuggestForSpec(spec *Spec, q *graph.Graph, limit int) ([]Suggestion, error) {
 	s := &Session{Spec: spec, Query: q}
 	return s.Suggest(limit)
+}
+
+// decodedPanel is a spec's pattern panel decoded to graphs, basic then
+// canned. A serving VQI suggests on every keystroke from one spec, so the
+// spec keeps its last decode instead of rebuilding every pattern graph per
+// call.
+type decodedPanel struct {
+	graphs []*graph.Graph
+}
+
+// panelGraphs returns the graphs of all (the spec's panel, basic then
+// canned), reusing the memoized decode when it still matches every
+// pattern. A panel edited since the last call is decoded afresh, so a
+// stale graph is never used.
+func (s *Spec) panelGraphs(all []PatternSpec) ([]*graph.Graph, error) {
+	if d := s.panel.Load(); d != nil && d.decodes(all) {
+		return d.graphs, nil
+	}
+	d := &decodedPanel{graphs: make([]*graph.Graph, len(all))}
+	for i, ps := range all {
+		g, err := ps.PatternGraph()
+		if err != nil {
+			return nil, err
+		}
+		d.graphs[i] = g
+	}
+	s.panel.Store(d)
+	return d.graphs, nil
+}
+
+// decodes reports whether d's graphs are exactly the decode of all.
+func (d *decodedPanel) decodes(all []PatternSpec) bool {
+	if len(d.graphs) != len(all) {
+		return false
+	}
+	for i, ps := range all {
+		g := d.graphs[i]
+		if g.Name() != ps.Name || g.NumNodes() != len(ps.NodeLabels) || g.NumEdges() != len(ps.Edges) {
+			return false
+		}
+		for v, l := range ps.NodeLabels {
+			if g.NodeLabel(v) != l {
+				return false
+			}
+		}
+		for id, e := range ps.Edges {
+			if g.Edge(id) != (graph.Edge{U: e.U, V: e.V, Label: e.Label}) {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -1,6 +1,7 @@
 package vqi
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/graph"
@@ -113,4 +114,85 @@ func TestSuggestForSpec(t *testing.T) {
 	if !found {
 		t.Fatalf("carbonyl-chain not suggested for a C=O fragment: %+v", sugs)
 	}
+}
+
+// TestSuggestSeesPanelEdits guards the decoded-panel memo: editing a
+// pattern in place, or adding one, between calls must change what Suggest
+// matches against.
+func TestSuggestSeesPanelEdits(t *testing.T) {
+	spec, _ := BuildManual(PresetChemistry, corpus())
+	q := graph.New("partial")
+	q.AddNode("C")
+	q.AddNode("O")
+	q.MustAddEdge(0, 1, "d")
+	suggested := func(name string) bool {
+		sugs, err := SuggestForSpec(spec, q, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sg := range sugs {
+			if sg.Pattern.Name == name {
+				return true
+			}
+		}
+		return false
+	}
+	if !suggested("carbonyl-chain") {
+		t.Fatal("carbonyl-chain not suggested for a C=O fragment")
+	}
+	for i, ps := range spec.Patterns.Canned {
+		if ps.Name != "carbonyl-chain" {
+			continue
+		}
+		for j, e := range ps.Edges {
+			if e.Label == "d" {
+				spec.Patterns.Canned[i].Edges[j].Label = "s"
+			}
+		}
+	}
+	if suggested("carbonyl-chain") {
+		t.Fatal("Suggest matched a stale decode of an edited pattern")
+	}
+	spec.Patterns.Canned = append(spec.Patterns.Canned, PatternSpec{
+		Name: "added", NodeLabels: []string{"C", "O", "C"},
+		Edges: []EdgeSpec{{U: 0, V: 1, Label: "d"}, {U: 1, V: 2, Label: "s"}},
+	})
+	if !suggested("added") {
+		t.Fatal("Suggest missed a pattern added to the panel")
+	}
+}
+
+// TestSuggestConcurrent suggests from one spec on several goroutines at
+// once, as vqiserve's handlers do, racing on the spec's first decode.
+func TestSuggestConcurrent(t *testing.T) {
+	spec, _ := BuildManual(PresetChemistry, corpus())
+	q := graph.New("partial")
+	q.AddNode("C")
+	q.AddNode("O")
+	q.MustAddEdge(0, 1, "d")
+	want, err := SuggestForSpec(&Spec{Patterns: spec.Patterns}, q, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				got, err := SuggestForSpec(spec, q, 0)
+				if err != nil || len(got) != len(want) {
+					t.Errorf("concurrent Suggest: %d suggestions (err %v), want %d", len(got), err, len(want))
+					return
+				}
+				for k := range got {
+					if got[k].PatternIndex != want[k].PatternIndex || got[k].NewEdges != want[k].NewEdges {
+						t.Errorf("concurrent Suggest: suggestion %d differs", k)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -23,6 +23,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/catapult"
 	"repro/internal/gindex"
@@ -48,6 +49,9 @@ type Spec struct {
 	Mode      Mode           `json:"mode"`
 	Attribute AttributePanel `json:"attribute_panel"`
 	Patterns  PatternPanel   `json:"pattern_panel"`
+
+	// panel memoizes the decoded pattern graphs Suggest matches against.
+	panel atomic.Pointer[decodedPanel]
 }
 
 // AttributePanel lists the labels available for query construction, sorted

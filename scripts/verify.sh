@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Repo verification: build, vet, gofmt, full tests, then the race detector over
-# every package (the parallel layer in internal/par and its call sites are
-# only trustworthy under -race), and finally a focused fault-injection
-# smoke pass over the hardened serving layer. Run from the repo root.
+# Repo verification: build, vet, gofmt, full tests, one iteration of every Go
+# benchmark, then the race detector over every package (the parallel layer
+# in internal/par and its call sites are only trustworthy under -race), and
+# finally a focused fault-injection smoke pass over the hardened serving
+# layer. Run from the repo root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,6 +28,9 @@ echo "== go test (vqibench module) =="
 # go test ./... never reaches it.
 (cd vqibench && go test ./...)
 
+echo "== go benchmarks (one iteration each, so none can rot unnoticed) =="
+go test -run '^$' -bench . -benchtime 1x ./...
+
 echo "== go test -race =="
 go test -race ./...
 
@@ -37,28 +41,37 @@ go test -race -count=1 -run 'Fault|Panic|Timeout|Drain|Inject|Ctx|Context|Cancel
 echo "== fuzz-seed regression (checked-in corpora) =="
 go test -count=1 -run 'Fuzz' ./internal/gio ./cmd/vqiserve
 
+tmpdir="$(mktemp -d)"
+trap 'rm -rf "$tmpdir"; [[ -n "${server_pid:-}" ]] && kill "$server_pid" 2>/dev/null || true' EXIT
+
+# The benchmark smokes run one benchvqi build from a scratch working
+# directory: each suite writes its BENCH_*.json to the working directory,
+# and the tracked copies at the repo root must stay as recorded.
+benchdir="$tmpdir/bench"
+mkdir -p "$benchdir"
+go build -o "$tmpdir/benchvqi" ./cmd/benchvqi
+bench() { (cd "$benchdir" && "$tmpdir/benchvqi" -exp "$1"); }
+
 echo "== benchmark smoke (K1 kernel suite) =="
-go run ./cmd/benchvqi -exp K1
+bench K1
 
 echo "== benchmark smoke (S1 sharded-index suite) =="
-go run ./cmd/benchvqi -exp S1
+bench S1
 
 echo "== benchmark smoke (O1 observability-overhead suite) =="
-go run ./cmd/benchvqi -exp O1
+bench O1
 
 echo "== benchmark smoke (A1 approximate-similarity suite) =="
-go run ./cmd/benchvqi -exp A1
-grep -q '"rebuild_only_touched": true' BENCH_ann.json \
+bench A1
+grep -q '"rebuild_only_touched": true' "$benchdir/BENCH_ann.json" \
   || { echo "A1: batch update rebuilt more than the touched shards"; exit 1; }
 
 echo "== benchmark smoke (P2 query-plan suite, plan-vs-oracle equivalence) =="
-go run ./cmd/benchvqi -exp P2
-grep -q '"contract_violations": 0' BENCH_plan.json \
+bench P2
+grep -q '"contract_violations": 0' "$benchdir/BENCH_plan.json" \
   || { echo "P2: a planned answer differed from the monolithic oracle"; exit 1; }
 
 echo "== metrics endpoint smoke (vqiserve -pprof, live scrape) =="
-tmpdir="$(mktemp -d)"
-trap 'rm -rf "$tmpdir"; [[ -n "${server_pid:-}" ]] && kill "$server_pid" 2>/dev/null || true' EXIT
 go run ./cmd/datagen -kind chemical -n 20 -out "$tmpdir/corpus.lg"
 go run ./cmd/vqibuild -data "$tmpdir/corpus.lg" -out "$tmpdir/vqi.json" -count 3 -metrics
 go build -o "$tmpdir/vqiserve" ./cmd/vqiserve
@@ -121,8 +134,8 @@ server_pid=""
 echo "query planner: OK"
 
 echo "== benchmark smoke (D1 durability suite) =="
-go run ./cmd/benchvqi -exp D1
-grep -q '"compacted snapshot"' BENCH_store.json \
+bench D1
+grep -q '"compacted snapshot"' "$benchdir/BENCH_store.json" \
   || { echo "D1: BENCH_store.json missing the cold-boot variants"; exit 1; }
 
 echo "== crash-recovery smoke (kill -9 mid-stream, restart, re-query) =="
@@ -166,8 +179,8 @@ server_pid=""
 echo "SIGINT drain: OK"
 
 echo "== benchmark smoke (M1 mmap capacity suite) =="
-go run ./cmd/benchvqi -exp M1
-grep -q '"contract_violations": 0' BENCH_mmap.json \
+bench M1
+grep -q '"contract_violations": 0' "$benchdir/BENCH_mmap.json" \
   || { echo "M1: mmap boot contract violated (sections not restored cleanly)"; exit 1; }
 
 echo "== mmap crash-recovery smoke (kill -9 mid-stream, mmap restart, compact, section-restored boot) =="
