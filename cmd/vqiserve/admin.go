@@ -24,9 +24,9 @@ import (
 // snapshot they started on; new queries see the update.
 //
 // Caches are NOT reset. ApplyBatch bumps the touched shards' epochs, and
-// both caches key on epochs (qcache.ShardKey / qcache.EpochKey), so
-// entries that could have changed become unreachable while per-shard
-// partials for untouched shards keep hitting.
+// every cache keys on the full epoch vector (qcache.EpochKey /
+// qcache.PlanKey), so entries computed before the update become
+// unreachable and age out of the LRU.
 
 // updateRequest is the batch body. Added graphs use the same node/edge
 // shape as queries, plus a unique name.

@@ -106,49 +106,6 @@ func TestAdminUpdateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAdminUpdatePartialCacheInvalidation is the point of per-shard epoch
-// keys: after a batch that rebuilds R of K shards, re-running a cached
-// query recomputes exactly R shard partials and reuses the other K-R from
-// the cache.
-func TestAdminUpdatePartialCacheInvalidation(t *testing.T) {
-	const k = 4
-	s := adminServer(t, k, 64)
-	h := s.routes()
-
-	queryMatched(t, h)
-	hits0, miss0, _ := s.shardQC.Stats()
-	if miss0 != k || hits0 != 0 {
-		t.Fatalf("first query: %d hits, %d misses, want 0/%d", hits0, miss0, k)
-	}
-	// An identical query hits the full-response cache and never reaches the
-	// shard cache.
-	queryMatched(t, h)
-	if hits1, miss1, _ := s.shardQC.Stats(); hits1 != hits0 || miss1 != miss0 {
-		t.Fatalf("repeat query touched the shard cache: %d/%d", hits1, miss1)
-	}
-
-	add := `{"add":[{"name":"adm-cache","nodes":["C","C"],"edges":[{"u":0,"v":1,"label":"s"}]}]}`
-	rec, body := post(t, h, "/admin/update", add)
-	if rec.Code != 200 {
-		t.Fatalf("update status = %d (body %s)", rec.Code, body)
-	}
-	var rep updateResponse
-	if err := json.Unmarshal(body, &rep); err != nil {
-		t.Fatal(err)
-	}
-
-	// The epoch vector changed, so the full-response cache misses and the
-	// shard fan-out reruns — but only the rebuilt shards' partials miss.
-	queryMatched(t, h)
-	hits2, miss2, _ := s.shardQC.Stats()
-	if got, want := miss2-miss0, uint64(len(rep.Rebuilt)); got != want {
-		t.Fatalf("shard-cache misses after update = %d, want %d (rebuilt %v)", got, want, rep.Rebuilt)
-	}
-	if got, want := hits2-hits0, uint64(k-len(rep.Rebuilt)); got != want {
-		t.Fatalf("shard-cache hits after update = %d, want %d", got, want)
-	}
-}
-
 func TestAdminUpdateErrors(t *testing.T) {
 	s := adminServer(t, 2, 8)
 	h := s.routes()

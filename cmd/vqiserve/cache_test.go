@@ -11,7 +11,6 @@ import (
 	"repro/internal/canon"
 	"repro/internal/catapult"
 	"repro/internal/datagen"
-	"repro/internal/gindex"
 	"repro/internal/graph"
 	"repro/internal/pattern"
 	"repro/internal/plan"
@@ -140,9 +139,8 @@ func TestCacheDisabledByDefaultConfig(t *testing.T) {
 	}
 }
 
-// TestQueryCacheKeys pins the keys of the three caches one /api/query
-// fills — response, plan and per-shard partials — to the query's
-// canonical code.
+// TestQueryCacheKeys pins the keys of the two caches one /api/query
+// fills — response and plan — to the query's canonical code.
 func TestQueryCacheKeys(t *testing.T) {
 	s := cachedTestServer(t)
 	body := `{"nodes":["C","O","C"],"edges":[{"u":0,"v":1,"label":"s"},{"u":1,"v":2,"label":"s"}]}`
@@ -168,10 +166,4 @@ func TestQueryCacheKeys(t *testing.T) {
 		t.Error("no plan cached under the canonical plan key")
 		return nil, false
 	})
-	for si := 0; si < idx.NumShards(); si++ {
-		s.shardQC.Do(qcache.ShardKey(code, si, idx.Epoch(si)), func() (gindex.ShardResult, bool) {
-			t.Errorf("no partial for shard %d cached under the canonical shard key", si)
-			return gindex.ShardResult{}, false
-		})
-	}
 }

@@ -150,8 +150,9 @@ func TestE2EServingMetrics(t *testing.T) {
 		t.Fatalf("pre-traffic query count = %d, want 0", got)
 	}
 
-	// Two identical queries: the first computes (k shard partials, one
-	// response-cache miss), the second is a whole-response cache hit.
+	// Two identical queries: the first computes (one search per shard, one
+	// response-cache miss), the second is a whole-response cache hit and
+	// searches nothing.
 	for i := 0; i < 2; i++ {
 		st, body := h.post("/api/query", ccQuery)
 		if st != http.StatusOK {
@@ -181,8 +182,11 @@ func TestE2EServingMetrics(t *testing.T) {
 	if ratio := gaugeOf(t, snap, "vqiserve_cache_hit_ratio"); ratio != 0.5 {
 		t.Fatalf("response-cache hit ratio = %v, want 0.5 (1 hit / 2 lookups)", ratio)
 	}
-	if misses := gaugeOf(t, snap, "vqiserve_shardcache_misses"); misses != k {
-		t.Fatalf("shard-cache misses = %v, want %d (one partial per shard, once)", misses, k)
+	searches := func(snap obs.Snapshot) int64 {
+		return counterOf(t, snap, "gindex_searches_total") - counterOf(t, base, "gindex_searches_total")
+	}
+	if got := searches(snap); got != k {
+		t.Fatalf("shard searches = %d, want %d (one per shard, once)", got, k)
 	}
 
 	// A batch update rebuilds only the shards owning touched graphs; the
@@ -210,10 +214,10 @@ func TestE2EServingMetrics(t *testing.T) {
 		t.Fatalf("graphs added counter = %d, want 1", got)
 	}
 
-	// The same query again: only the rebuilt shards' partials recompute
-	// (shard-cache misses advance by exactly len(rebuilt)); the response
-	// cache misses once because the epoch vector changed. And the answer
-	// itself must include the graph the update added.
+	// The same query again: the response cache misses once because the
+	// epoch vector changed, so the query fans out across every shard
+	// again. And the answer itself must include the graph the update
+	// added.
 	st, body = h.post("/api/query", ccQuery)
 	if st != http.StatusOK {
 		t.Fatalf("post-update query status = %d (body %s)", st, body)
@@ -230,8 +234,8 @@ func TestE2EServingMetrics(t *testing.T) {
 		t.Fatalf("post-update query missed the added graph: %v", qr.Matched)
 	}
 	snap = h.scrape()
-	if misses := gaugeOf(t, snap, "vqiserve_shardcache_misses"); misses != float64(k+len(rep.Rebuilt)) {
-		t.Fatalf("shard-cache misses = %v, want %d (only rebuilt shards recompute)", misses, k+len(rep.Rebuilt))
+	if got := searches(snap); got != 2*k {
+		t.Fatalf("shard searches = %d, want %d (a second full fan-out)", got, 2*k)
 	}
 	if misses := gaugeOf(t, snap, "vqiserve_cache_misses"); misses != 2 {
 		t.Fatalf("response-cache misses = %v, want 2 (initial + post-update epoch change)", misses)

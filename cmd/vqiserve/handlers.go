@@ -155,8 +155,8 @@ type queryResponse struct {
 	Truncated bool `json:"truncated"`
 	// Plan and Stages are attached only when the request carried a ?plan=
 	// parameter: the compiled plan summary and this request's stage-span
-	// timings (plan.compile, plan.fragment-probe, plan.join, plan.verify,
-	// ...). Never cached — they describe this request, not the answer.
+	// timings (plan.compile, plan.shortlist, plan.verify, ...). Never
+	// cached — they describe this request, not the answer.
 	Plan   *planInfo    `json:"plan,omitempty"`
 	Stages []stageEntry `json:"stages,omitempty"`
 }
@@ -239,30 +239,37 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx := r.Context()
 	corpus, idx := s.snapshot()
-	// One canonical code keys every cache this request touches: the plan,
-	// the response and the per-shard partials.
+	// One canonical code keys every cache this request touches: the
+	// response and the plan.
 	var code string
-	if s.qc != nil || s.planQC != nil || s.shardQC != nil {
+	if s.qc != nil || s.planQC != nil {
 		code = canon.String(q)
 	}
-	// Compile (or fetch) the plan before the response cache: compilation is
-	// cheap and plan-cached, and a ?plan= request needs the summary even
-	// when the answer itself is served from cache.
+	// The plan is compiled (or fetched from the plan cache) only when the
+	// answer is computed, so a response-cache hit pays no plan lookup —
+	// except for a ?plan= request, which needs the summary even when the
+	// answer itself is served from cache.
 	var pl *plan.Plan
-	if mode != "off" && !s.network && idx != nil {
-		_, span := obs.StartSpan(ctx, "plan.compile")
-		pl = s.compiledPlan(idx, q, code, mode)
-		span.End()
+	compile := func() {
+		if pl == nil && mode != "off" && !s.network && idx != nil {
+			_, span := obs.StartSpan(ctx, "plan.compile")
+			pl = s.compiledPlan(idx, q, code, mode)
+			span.End()
+		}
+	}
+	exec := func() (queryResponse, int) {
+		compile()
+		return s.execQuery(ctx, q, corpus, idx, pl)
 	}
 	finish := func(resp queryResponse, status int) {
 		if r.URL.Query().Has("plan") {
+			compile()
 			s.attachPlanTrace(&resp, r, mode, pl)
 		}
 		writeJSON(w, status, resp)
 	}
 	if s.qc == nil {
-		resp, status := s.execQuery(ctx, q, code, corpus, idx, pl)
-		finish(resp, status)
+		finish(exec())
 		return
 	}
 	// Isomorphic queries share one cache line regardless of how the user
@@ -282,7 +289,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		key = qcache.EpochKey(key, idx.Epochs())
 	}
 	out := s.qc.Do(key, func() (cachedResponse, bool) {
-		resp, status := s.execQuery(ctx, q, code, corpus, idx, pl)
+		resp, status := exec()
 		return cachedResponse{resp: resp, status: status},
 			status == http.StatusOK && !resp.Truncated
 	})
@@ -292,7 +299,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // planParam resolves the request's planning mode: the ?plan= parameter
 // when present (400 bad_plan on unknown values; empty means auto), else
 // the -plan flag's default. The returned mode is one of off, auto,
-// monolithic, decompose, ann.
+// monolithic, ann.
 func (s *server) planParam(w http.ResponseWriter, r *http.Request) (string, bool) {
 	if !r.URL.Query().Has("plan") {
 		if s.planEnabled {
@@ -304,11 +311,11 @@ func (s *server) planParam(w http.ResponseWriter, r *http.Request) (string, bool
 	switch mode {
 	case "":
 		return "auto", true
-	case "auto", "off", "monolithic", "decompose", "ann":
+	case "auto", "off", "monolithic", "ann":
 		return mode, true
 	default:
 		writeErr(w, http.StatusBadRequest, "bad_plan",
-			fmt.Sprintf("plan mode %q is not supported; use auto, off, monolithic, decompose, or ann", mode))
+			fmt.Sprintf("plan mode %q is not supported; use auto, off, monolithic, or ann", mode))
 		return "", false
 	}
 }
@@ -318,15 +325,10 @@ func (s *server) planParam(w http.ResponseWriter, r *http.Request) (string, bool
 // full epoch vector: plans bake in corpus-wide label statistics, so any
 // shard rebuild retires them.
 func (s *server) compiledPlan(idx *gindex.Sharded, q *graph.Graph, code, mode string) *plan.Plan {
-	cfg := pattern.PlanConfig()
-	cfg.ANN = s.annEnabled
-	cfg.MaxResults = s.maxResults
-	cfg.HasViewCache = s.viewQC != nil
+	cfg := plan.Config{ANN: s.annEnabled, MaxResults: s.maxResults}
 	switch mode {
 	case "monolithic":
 		cfg.Force = plan.StrategyMonolithic
-	case "decompose":
-		cfg.Force = plan.StrategyDecomposed
 	case "ann":
 		cfg.Force = plan.StrategyANN
 	}
@@ -360,13 +362,12 @@ func (s *server) attachPlanTrace(resp *queryResponse, r *http.Request, mode stri
 }
 
 // execQuery answers a decoded query graph against one (corpus, index)
-// snapshot: network-mode embedding count, sharded filter-verify, or the
-// pre-index fallback scan; code is q's canonical code (empty when the
-// caches are off). Returns the response and the HTTP status to serve it
-// with. Taking the snapshot as parameters (rather than reading
-// s.corpus/s.index) keeps one request on one corpus version even if an
-// admin update lands mid-query.
-func (s *server) execQuery(ctx context.Context, q *graph.Graph, code string, corpus *graph.Corpus, idx *gindex.Sharded, pl *plan.Plan) (queryResponse, int) {
+// snapshot: network-mode embedding count, sharded filter-verify (under
+// pl, when the planner is on), or the pre-index fallback scan. Returns
+// the response and the HTTP status to serve it with. Taking the snapshot
+// as parameters (rather than reading s.corpus/s.index) keeps one request
+// on one corpus version even if an admin update lands mid-query.
+func (s *server) execQuery(ctx context.Context, q *graph.Graph, corpus *graph.Corpus, idx *gindex.Sharded, pl *plan.Plan) (queryResponse, int) {
 	var resp queryResponse
 	status := http.StatusOK
 	if s.network {
@@ -378,7 +379,7 @@ func (s *server) execQuery(ctx context.Context, q *graph.Graph, code string, cor
 			status = http.StatusGatewayTimeout
 		}
 	} else if idx != nil {
-		res := s.searchSharded(ctx, idx, q, code, pl)
+		res := s.searchSharded(ctx, idx, q, pl)
 		resp.Matched = res.Matches
 		resp.Truncated = res.Truncated
 		if ctx.Err() != nil {
@@ -410,43 +411,22 @@ func (s *server) execQuery(ctx context.Context, q *graph.Graph, code string, cor
 	return resp, status
 }
 
-// searchSharded runs the query over the sharded index. A compiled plan
-// routes decomposed and ANN strategies to the plan executor (with the
-// fragment-view cache and the fault injector); a monolithic plan just
-// applies its compiled matching order to the existing paths — the order
+// searchSharded runs the query over the sharded index through the one
+// budgeted fan-out: an ANN plan verifies each shard's most
+// embedding-similar candidates first; otherwise the compiled matching
+// order (when the planner is on) is applied to SearchCtx. The order
 // changes Steps, never the match set, so order-agnostic cache keys stay
-// sound. With the partial cache enabled, each shard's result is fetched
-// (or computed) under a (query, shard, epoch) key and the partials are
-// merged to the exact global answer — after a batch update only the
-// rebuilt shards recompute. Per-shard partials are computed independently
-// (each capped at MaxResults) rather than under the shared cross-shard
-// budget, precisely so they are a pure function of (query, shard content)
-// and therefore cacheable; MergeShardResults re-applies the global cap.
-// Without the cache, the shared-budget fan-out in SearchCtx is cheaper
-// and is used directly.
-func (s *server) searchSharded(ctx context.Context, idx *gindex.Sharded, q *graph.Graph, code string, pl *plan.Plan) gindex.Result {
+// sound.
+func (s *server) searchSharded(ctx context.Context, idx *gindex.Sharded, q *graph.Graph, pl *plan.Plan) gindex.Result {
 	opts := pattern.MatchOptions()
 	opts.MaxResults = s.maxResults
 	if pl != nil {
-		if pl.Strategy != plan.StrategyMonolithic {
-			return idx.SearchPlan(ctx, q, opts, pl, gindex.PlanOptions{Views: s.viewQC, Inject: s.inject})
+		if pl.Strategy == plan.StrategyANN {
+			return idx.SearchPlan(ctx, q, opts, pl, gindex.PlanOptions{})
 		}
 		opts.Order = pl.Order
 	}
-	if s.shardQC == nil {
-		return idx.SearchCtx(ctx, q, opts)
-	}
-	partials := make([]gindex.ShardResult, idx.NumShards())
-	par.ForEachN(idx.NumShards(), s.workers, func(si int) {
-		key := qcache.ShardKey(code, si, idx.Epoch(si))
-		partials[si] = s.shardQC.Do(key, func() (gindex.ShardResult, bool) {
-			// A partial cut short by cancellation is incomplete for this
-			// shard; hand it to waiters but never cache it.
-			r := idx.SearchShardCtx(ctx, si, q, opts)
-			return r, !r.Truncated
-		})
-	})
-	return gindex.MergeShardResults(partials, s.maxResults)
+	return idx.SearchCtx(ctx, q, opts)
 }
 
 // facets groups matched graphs by the spec's canned patterns.

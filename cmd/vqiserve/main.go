@@ -14,7 +14,7 @@
 //	                  → {"matched":[...names...],"embeddings":N,"truncated":false}
 //	                  ?plan= selects the query planner per request: auto
 //	                  (cost model, the default with -plan), off, or a forced
-//	                  strategy (monolithic, decompose, ann); when the
+//	                  strategy (monolithic, ann); when the
 //	                  parameter is present the response carries the compiled
 //	                  plan summary and the request's stage timings
 //	POST /api/suggest partial query → suggested pattern completions
@@ -26,8 +26,8 @@
 //	                  containment
 //	POST /admin/update {"add":[{"name":"g9","nodes":[...],"edges":[...]}],"remove":["g3"]}
 //	                  batch corpus update; rebuilds only the index shards
-//	                  owning touched graphs and invalidates only their
-//	                  cached partials
+//	                  owning touched graphs; cached answers and plans
+//	                  retire by epoch key
 //	GET  /metrics     counters, gauges and latency histograms (JSON;
 //	                  ?format=prometheus for the text exposition format)
 //	GET  /debug/vars  the same metrics as one flat expvar-style map
@@ -128,14 +128,6 @@ type server struct {
 	// a rebuilt index restarts its epochs.
 	qc *qcache.Cache[cachedResponse]
 
-	// shardQC caches per-shard partial results under (query, shard,
-	// epoch) keys (qcache.ShardKey). After a batch update only the
-	// rebuilt shards' partials miss; the untouched shards' partials —
-	// usually most of the work — are reused, which is the partial cache
-	// invalidation the sharded index exists for. nil when caching is
-	// disabled.
-	shardQC *qcache.Cache[gindex.ShardResult]
-
 	// simQC caches /api/similar responses, keyed by (request shape, full
 	// shard-epoch vector) — similarity answers can depend on every shard,
 	// so any rebuilt shard retires the entry. nil when caching is disabled.
@@ -150,13 +142,6 @@ type server struct {
 	// corpus-wide label statistics, so any shard rebuild invalidates them).
 	// nil when caching is disabled.
 	planQC *qcache.Cache[*plan.Plan]
-
-	// viewQC caches fragment containment views for decomposed plans under
-	// qcache.ViewKey (fragment canon x shard x epoch). Views are the
-	// sub-pattern materialized views two queries sharing a fragment reuse;
-	// epoch keying retires exactly the rebuilt shards' views. nil when
-	// caching is disabled.
-	viewQC *qcache.Cache[gindex.ShardResult]
 
 	// phase is the boot state machine (building → replaying → ready).
 	// Query-shaped endpoints and /readyz gate on it; /healthz does not.
@@ -250,10 +235,8 @@ func newServer(spec *vqi.Spec, corpus *graph.Corpus, cfg serverConfig) *server {
 	}
 	if cfg.cacheSize > 0 {
 		s.qc = qcache.New[cachedResponse](cfg.cacheSize)
-		s.shardQC = qcache.New[gindex.ShardResult](cfg.cacheSize)
 		s.simQC = qcache.New[cachedSimilar](cfg.cacheSize)
 		s.planQC = qcache.New[*plan.Plan](cfg.cacheSize)
-		s.viewQC = qcache.New[gindex.ShardResult](cfg.cacheSize)
 	}
 	return s
 }
@@ -274,7 +257,7 @@ func (s *server) attachStore(st *store.Store, rec *store.Recovery) {
 // and flips the readiness gate. It runs in the background so the listener
 // is up — and /healthz green — while a large corpus indexes; /readyz
 // reports "replaying" during the WAL phase. Installing a from-scratch
-// index resets both caches: its epochs restart at zero (or at the
+// index resets every cache: its epochs restart at zero (or at the
 // snapshot's restored values), so key-based invalidation cannot
 // distinguish it from the previous build.
 func (s *server) buildIndex() {
@@ -340,17 +323,11 @@ func (s *server) buildIndex() {
 	if s.qc != nil {
 		s.qc.Reset()
 	}
-	if s.shardQC != nil {
-		s.shardQC.Reset()
-	}
 	if s.simQC != nil {
 		s.simQC.Reset()
 	}
 	if s.planQC != nil {
 		s.planQC.Reset()
-	}
-	if s.viewQC != nil {
-		s.viewQC.Reset()
 	}
 	s.phase.Store(phaseReady)
 	corpus, _ = s.snapshot()
@@ -410,11 +387,11 @@ func main() {
 		maxBody  = flag.Int64("max-body-bytes", 1<<20, "request body size cap (413 beyond it)")
 		maxQuery = flag.Int("max-query-size", 256, "posted query node+edge cap (422 beyond it)")
 		useCache = flag.Bool("cache", true, "cache query results by canonical query code (repeated and concurrent identical queries hit memory)")
-		planOn   = flag.Bool("plan", true, "compile each query into an optimized physical plan (rarest-edge-first matching order; large patterns decompose into cached sub-pattern views joined and verified exactly); ?plan= overrides per request")
+		planOn   = flag.Bool("plan", true, "compile each query into a physical plan (rarest-edge-first matching order; with -ann and -max-results, broad queries verify their most embedding-similar candidates first); ?plan= overrides per request")
 		cacheSz  = flag.Int("cache-size", 512, "maximum cached query results (LRU eviction)")
 		pprofOn  = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ (off by default; profiles expose internals)")
 		dataDir  = flag.String("data-dir", "", "durable data directory (snapshots + write-ahead log); empty disables persistence. On a non-empty directory the corpus is recovered from it and -data is ignored; on an empty one -data seeds the initial snapshot")
-		mmapBoot = flag.Bool("mmap", false, "boot by mapping the snapshot read-only instead of decoding it: cold start validates only the header + frame index + persisted index sections, graphs hydrate lazily on first touch, and shards whose section epoch matches skip their rebuild (requires -data-dir; v1 snapshots fall back to the eager load)")
+		mmapBoot = flag.Bool("mmap", false, "boot by mapping the snapshot read-only instead of decoding it: cold start validates only the header + frame index + persisted index sections, graphs hydrate lazily on first touch, and shards whose section epoch matches skip their rebuild (requires -data-dir; both boot paths read snapshot format v2 only)")
 		walSync  = flag.String("wal-sync", "always", "WAL fsync policy: always (fsync before acknowledging each /admin/update), none, or a duration like 100ms (background interval sync)")
 		annOn    = flag.Bool("ann", false, "build per-shard LSH similarity tables and serve POST /api/similar (sub-linear approximate top-k with exact re-ranking)")
 		annTabs  = flag.Int("ann-tables", 0, "LSH hash tables per shard (0 = default 12); more tables raise recall at linear memory cost")

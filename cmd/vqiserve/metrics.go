@@ -31,8 +31,9 @@ import (
 // library-side registry: gindex_*, isomorph_*, stage_seconds) as JSON, or
 // in the Prometheus text format with ?format=prometheus. GET /debug/vars
 // serves the same data as one flat expvar-style map. Cache traffic is
-// exported at scrape time from the qcache counters as vqiserve_cache_* /
-// vqiserve_shardcache_* gauges, including the hit ratio.
+// exported at scrape time from the qcache counters as vqiserve_cache_*
+// (responses) and vqiserve_plancache_* (compiled plans) gauges, including
+// the hit ratio.
 
 // statusWriter captures the first status code a handler writes. An
 // implicit 200 (body bytes before any WriteHeader) is recorded too; a
@@ -105,14 +106,8 @@ func (s *server) refreshCacheMetrics() {
 	if s.qc != nil {
 		s.exportCache("vqiserve_cache", s.qc.Metrics())
 	}
-	if s.shardQC != nil {
-		s.exportCache("vqiserve_shardcache", s.shardQC.Metrics())
-	}
 	if s.planQC != nil {
 		s.exportCache("vqiserve_plancache", s.planQC.Metrics())
-	}
-	if s.viewQC != nil {
-		s.exportCache("vqiserve_viewcache", s.viewQC.Metrics())
 	}
 }
 

@@ -17,9 +17,16 @@ import (
 	"repro/internal/vqi"
 )
 
-// planTestServer builds a planner-enabled server over a corpus large
-// enough that double-digit-edge queries decompose and still match.
+// planTestServer builds a planner- and ANN-enabled server over a corpus
+// large enough that double-digit-edge queries still match.
 func planTestServer(t *testing.T) *server {
+	t.Helper()
+	return planTestServers(t, serverConfig{cacheSize: 64})[0]
+}
+
+// planTestServers builds one planner- and ANN-enabled server per config
+// over the same corpus and spec.
+func planTestServers(t *testing.T, cfgs ...serverConfig) []*server {
 	t.Helper()
 	corpus := datagen.ChemicalCorpus(5, 40, datagen.ChemicalOptions{MinNodes: 12, MaxNodes: 24})
 	spec, _, err := vqi.BuildFromCorpus(corpus, catapult.Config{
@@ -27,9 +34,14 @@ func planTestServer(t *testing.T) *server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newServer(spec, corpus, serverConfig{cacheSize: 64, planEnabled: true, annEnabled: true})
-	s.buildIndex()
-	return s
+	var out []*server
+	for _, cfg := range cfgs {
+		cfg.planEnabled, cfg.annEnabled = true, true
+		s := newServer(spec, corpus, cfg)
+		s.buildIndex()
+		out = append(out, s)
+	}
+	return out
 }
 
 // bigQueryBody draws a connected subgraph of the corpus with at least
@@ -86,18 +98,21 @@ func postPlanQuery(t *testing.T, h http.Handler, url, body string) (*httptest.Re
 	return rec, resp
 }
 
-// TestHandleQueryPlanParamValidation: unknown ?plan= values are a 400
-// envelope; an empty value means auto.
+// TestHandleQueryPlanParamValidation: unknown ?plan= values — including
+// the retired decompose mode — are a 400 envelope; an empty value means
+// auto.
 func TestHandleQueryPlanParamValidation(t *testing.T) {
 	s := planTestServer(t)
 	h := s.routes()
 	body := `{"nodes":["C","C"],"edges":[{"u":0,"v":1,"label":"s"}]}`
-	rec, _ := postPlanQuery(t, h, "/api/query?plan=fastest", body)
-	if rec.Code != 400 {
-		t.Fatalf("status = %d (body %s)", rec.Code, rec.Body)
-	}
-	if e := decodeErr(t, rec.Body.Bytes()); e.Code != "bad_plan" {
-		t.Fatalf("code = %q", e.Code)
+	for _, mode := range []string{"fastest", "decompose"} {
+		rec, _ := postPlanQuery(t, h, "/api/query?plan="+mode, body)
+		if rec.Code != 400 {
+			t.Fatalf("%s: status = %d (body %s)", mode, rec.Code, rec.Body)
+		}
+		if e := decodeErr(t, rec.Body.Bytes()); e.Code != "bad_plan" {
+			t.Fatalf("%s: code = %q", mode, e.Code)
+		}
 	}
 	if rec, _ := postPlanQuery(t, h, "/api/query?plan=", body); rec.Code != 200 {
 		t.Fatalf("empty plan value: status = %d (body %s)", rec.Code, rec.Body)
@@ -118,7 +133,7 @@ func TestHandleQueryPlanModesAgree(t *testing.T) {
 		if rec.Code != 200 {
 			t.Fatalf("baseline status = %d (body %s)", rec.Code, rec.Body)
 		}
-		for _, mode := range []string{"auto", "monolithic", "decompose", "ann"} {
+		for _, mode := range []string{"auto", "monolithic", "ann"} {
 			rec, got := postPlanQuery(t, h, "/api/query?plan="+mode, body)
 			if rec.Code != 200 {
 				t.Fatalf("%s: status = %d (body %s)", mode, rec.Code, rec.Body)
@@ -133,18 +148,18 @@ func TestHandleQueryPlanModesAgree(t *testing.T) {
 	}
 }
 
-// TestHandleQueryPlanTrace: an explicit ?plan=decompose request on a
-// large query reports the decomposed strategy and the plan stage spans.
+// TestHandleQueryPlanTrace: an explicit ?plan=ann request on a large
+// query reports the ANN-first strategy and the plan stage spans.
 func TestHandleQueryPlanTrace(t *testing.T) {
 	s := planTestServer(t)
 	h := s.routes()
 	body := bigQueryBody(t, s, 10)
-	rec, resp := postPlanQuery(t, h, "/api/query?plan=decompose", body)
+	rec, resp := postPlanQuery(t, h, "/api/query?plan=ann", body)
 	if rec.Code != 200 {
 		t.Fatalf("status = %d (body %s)", rec.Code, rec.Body)
 	}
-	if resp.Plan == nil || resp.Plan.Strategy != "decomposed" {
-		t.Fatalf("plan = %+v; want forced decomposed strategy", resp.Plan)
+	if resp.Plan == nil || resp.Plan.Strategy != "ann" {
+		t.Fatalf("plan = %+v; want forced ann strategy", resp.Plan)
 	}
 	if resp.Plan.Summary == "" {
 		t.Fatal("plan summary empty")
@@ -153,7 +168,7 @@ func TestHandleQueryPlanTrace(t *testing.T) {
 	for _, st := range resp.Stages {
 		stages[st.Name] = true
 	}
-	for _, want := range []string{"plan.compile", "plan.fragment-probe", "plan.join", "plan.verify"} {
+	for _, want := range []string{"plan.compile", "plan.shortlist", "plan.verify"} {
 		if !stages[want] {
 			t.Fatalf("stage %q missing from %v", want, resp.Stages)
 		}
@@ -194,12 +209,13 @@ func TestHandleQueryPlanCachedStillTraced(t *testing.T) {
 	}
 }
 
-// TestPlanCacheMetricsExported: the plan and view cache gauges appear at
-// the metrics boundary (sanitized like every other cache family).
+// TestPlanCacheMetricsExported: the plan cache gauges appear at the
+// metrics boundary (sanitized like every other cache family), and the
+// retired view and shard-partial caches export nothing.
 func TestPlanCacheMetricsExported(t *testing.T) {
 	s := planTestServer(t)
 	h := s.routes()
-	postPlanQuery(t, h, "/api/query?plan=decompose", bigQueryBody(t, s, 10))
+	postPlanQuery(t, h, "/api/query?plan=ann", bigQueryBody(t, s, 10))
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/vars", nil))
 	if rec.Code != 200 {
@@ -211,13 +227,60 @@ func TestPlanCacheMetricsExported(t *testing.T) {
 	}
 	for _, key := range []string{
 		"vqiserve_plancache_hits", "vqiserve_plancache_misses", "vqiserve_plancache_hit_ratio",
-		"vqiserve_viewcache_hits", "vqiserve_viewcache_misses", "vqiserve_viewcache_hit_ratio",
 	} {
 		if _, ok := vars[key]; !ok {
 			t.Fatalf("gauge %q missing from /debug/vars", key)
 		}
 	}
+	for key := range vars {
+		if strings.HasPrefix(key, "vqiserve_viewcache_") || strings.HasPrefix(key, "vqiserve_shardcache_") {
+			t.Fatalf("retired cache gauge %q exported", key)
+		}
+	}
 	if misses := string(vars["vqiserve_plancache_misses"]); misses == "0" {
 		t.Fatal("plan compile never reached the plan cache")
+	}
+}
+
+// TestQueryCacheOnOffAgree: a server with the response and plan caches on
+// answers every query — first computed, then repeated as a cache hit —
+// with the same matched and truncated fields as a -cache=false server, at
+// every result budget and planning mode.
+func TestQueryCacheOnOffAgree(t *testing.T) {
+	for _, max := range []int{0, 1, 5} {
+		srv := planTestServers(t,
+			serverConfig{cacheSize: 64, maxResults: max},
+			serverConfig{cacheSize: 0, maxResults: max})
+		on, off := srv[0].routes(), srv[1].routes()
+		bodies := []string{
+			`{"nodes":["C","C"],"edges":[{"u":0,"v":1,"label":"s"}]}`,
+			`{"nodes":["C","O","C"],"edges":[{"u":0,"v":1,"label":"s"},{"u":1,"v":2,"label":"s"}]}`,
+			bigQueryBody(t, srv[0], 10),
+		}
+		for _, mode := range []string{"monolithic", "ann"} {
+			for bi, body := range bodies {
+				url := "/api/query?plan=" + mode
+				rec, want := postPlanQuery(t, off, url, body)
+				if rec.Code != 200 {
+					t.Fatalf("max=%d %s body%d: cache-off status = %d (body %s)", max, mode, bi, rec.Code, rec.Body)
+				}
+				if max > 0 && len(want.Matched) > max {
+					t.Fatalf("max=%d %s body%d: %d matches over the budget", max, mode, bi, len(want.Matched))
+				}
+				for rep := 0; rep < 2; rep++ {
+					rec, got := postPlanQuery(t, on, url, body)
+					if rec.Code != 200 {
+						t.Fatalf("max=%d %s body%d rep%d: cache-on status = %d (body %s)", max, mode, bi, rep, rec.Code, rec.Body)
+					}
+					if !reflect.DeepEqual(got.Matched, want.Matched) || got.Truncated != want.Truncated {
+						t.Fatalf("max=%d %s body%d rep%d: cache-on matched %v truncated %v, cache-off %v %v",
+							max, mode, bi, rep, got.Matched, got.Truncated, want.Matched, want.Truncated)
+					}
+				}
+			}
+		}
+		if hits, _, _ := srv[0].qc.Stats(); hits == 0 {
+			t.Fatalf("max=%d: repeated queries never hit the response cache", max)
+		}
 	}
 }

@@ -27,9 +27,10 @@ package gindex
 //     build over the same sub-corpus. The old value stays fully usable,
 //     which is what lets a serving layer swap indexes under concurrent
 //     queries without locking readers.
-//   - Per-shard epochs are the cache-invalidation currency: an entry keyed
-//     by (query, shard, epoch) stays valid across updates that did not
-//     touch that shard (see qcache.ShardKey / qcache.EpochKey).
+//   - Epochs are the cache-invalidation currency: a serving layer keys
+//     whole answers and plans by the full epoch vector (qcache.EpochKey,
+//     qcache.PlanKey), so an update retires exactly the entries computed
+//     before it, with no Reset.
 
 import (
 	"context"
@@ -420,8 +421,7 @@ type ShardMatch struct {
 
 // ShardResult is the outcome of filter-verify restricted to one shard. A
 // complete (non-Truncated) ShardResult depends only on the shard's
-// contents and the query, which is what makes it cacheable under a
-// (query, shard, epoch) key.
+// contents and the query.
 type ShardResult struct {
 	Shard      int
 	Epoch      uint64
@@ -434,8 +434,8 @@ type ShardResult struct {
 
 // SearchShardCtx runs filter-then-verify for q against shard s only.
 // Matches are capped at opts.MaxResults (a shard can contribute at most
-// that many graphs to any budgeted global answer), which keeps cached
-// partials bounded without losing merge exactness.
+// that many graphs to any budgeted global answer), so MergeShardResults
+// over every shard's partial is exact.
 func (sh *Sharded) SearchShardCtx(ctx context.Context, s int, q *graph.Graph, opts isomorph.Options) ShardResult {
 	return sh.searchShard(ctx, s, q, opts, nil)
 }
@@ -599,7 +599,8 @@ func (sh *Sharded) SearchCtx(ctx context.Context, q *graph.Graph, opts isomorph.
 
 // fanOut runs shard for every shard on the bounded pool under one shared
 // result budget (nil when maxResults is 0) and merges the partials in
-// corpus order. Every query strategy fans out through it.
+// corpus order. Every query strategy (SearchCtx, the ANN-first plan) fans
+// out through it.
 func (sh *Sharded) fanOut(maxResults int, shard func(s int, b *resultBudget) ShardResult) Result {
 	var b *resultBudget
 	if maxResults > 0 {

@@ -131,14 +131,13 @@ func MatchOptions() isomorph.Options {
 	return isomorph.Options{MaxEmbeddings: 64, MaxSteps: 200000}
 }
 
-// PlanConfig returns the plan-compiler configuration matched to this
-// package's pattern model: queries up to double the basic-pattern size
-// stay monolithic (fragment overhead always loses on shapes a user
-// assembles in a couple of gestures), and larger canned-pattern-sized
-// queries become decomposition candidates. Deployment capabilities (ANN
-// state, result budget, view cache) are the caller's to fill in.
+// PlanConfig returns the zero plan.Config; callers fill in their
+// deployment capabilities (ANN state, result budget) themselves.
+//
+// Deprecated: vqibench's in-process replica is its only user; delete it
+// when that replica is retired.
 func PlanConfig() plan.Config {
-	return plan.Config{MinDecomposeEdges: 2*BasicMaxSize + 2}
+	return plan.Config{}
 }
 
 // ---------------------------------------------------------------------------

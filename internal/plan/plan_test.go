@@ -202,100 +202,21 @@ func TestOrderDeterministic(t *testing.T) {
 	}
 }
 
-// TestDecomposeProperties: fragments jointly cover every pattern edge
-// (overlap is allowed — undersized leftover components are grown with
-// adjacent pattern edges to keep their views selective), each fragment is
-// connected with >= 1 edge, node mappings are consistent, and each later
-// fragment shares >= 1 node with the prefix fragment (the join chain the
-// executor depends on).
-func TestDecomposeProperties(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	decomposed := 0
-	for i, q := range randomPatterns(t, 17, 60, 5, 16) {
-		a := Parse(q)
-		ord := a.RarestFirstOrder(randStats(rng, q))
-		frags := Decompose(a, ord, 3)
-		if frags == nil {
-			continue
-		}
-		decomposed++
-		if len(frags) < 2 {
-			t.Fatalf("pattern %d: %d fragments, want >= 2", i, len(frags))
-		}
-		covered := map[[2]int]int{}
-		prefixNodes := map[int]bool{}
-		for fi, f := range frags {
-			if f.G.NumEdges() == 0 {
-				t.Fatalf("pattern %d fragment %d: no edges", i, fi)
-			}
-			if f.Canon == "" {
-				t.Fatalf("pattern %d fragment %d: empty canon", i, fi)
-			}
-			if !Parse(f.G).Connected {
-				t.Fatalf("pattern %d fragment %d: disconnected", i, fi)
-			}
-			shares := fi == 0
-			for li, pv := range f.Nodes {
-				if f.G.NodeLabel(li) != q.NodeLabel(pv) {
-					t.Fatalf("pattern %d fragment %d: node %d label mismatch", i, fi, li)
-				}
-				if fi == 0 {
-					prefixNodes[pv] = true
-				} else if prefixNodes[pv] {
-					shares = true
-				}
-			}
-			if !shares {
-				t.Fatalf("pattern %d fragment %d: no node shared with prefix fragment", i, fi)
-			}
-			for _, e := range f.G.Edges() {
-				u, v := f.Nodes[e.U], f.Nodes[e.V]
-				if u > v {
-					u, v = v, u
-				}
-				if _, ok := q.EdgeBetween(u, v); !ok {
-					t.Fatalf("pattern %d fragment %d: edge (%d,%d) not in pattern", i, fi, u, v)
-				}
-				covered[[2]int{u, v}]++
-			}
-		}
-		for key, n := range covered {
-			if n < 1 {
-				t.Fatalf("pattern %d: edge %v covered %d times", i, key, n)
-			}
-		}
-		if len(covered) != q.NumEdges() {
-			t.Fatalf("pattern %d: fragments cover %d/%d edges", i, len(covered), q.NumEdges())
-		}
-	}
-	if decomposed == 0 {
-		t.Fatal("no pattern decomposed; generator or Decompose too strict")
-	}
-}
-
-// TestCompileStrategySelection: small patterns stay monolithic, large
-// decomposable patterns with selective fragments choose decomposition,
-// and Force overrides where feasible.
+// TestCompileStrategySelection: without ANN every pattern — large ones
+// included — compiles monolithic, Force overrides where feasible, and the
+// retired decomposed strategy degrades to monolithic.
 func TestCompileStrategySelection(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	patterns := randomPatterns(t, 19, 30, 10, 16)
-	sawDecomposed := false
 	for _, q := range patterns {
 		st := randStats(rng, q)
-		pl := Compile(q, st, Config{HasViewCache: true})
-		if pl.Strategy == StrategyDecomposed {
-			sawDecomposed = true
-			if len(pl.Fragments) < 2 {
-				t.Fatal("decomposed plan without fragments")
+		for _, cfg := range []Config{
+			{}, {MaxResults: 5}, {HasViewCache: true}, {Force: StrategyMonolithic},
+			{Force: StrategyDecomposed}, {Force: StrategyDecomposed, ANN: true},
+		} {
+			if pl := Compile(q, st, cfg); pl.Strategy != StrategyMonolithic {
+				t.Fatalf("config %+v compiled to %s, want monolithic", cfg, pl.Strategy)
 			}
-		}
-		forced := Compile(q, st, Config{Force: StrategyMonolithic})
-		if forced.Strategy != StrategyMonolithic {
-			t.Fatalf("Force monolithic got %s", forced.Strategy)
-		}
-		fd := Compile(q, st, Config{Force: StrategyDecomposed})
-		if len(fd.Fragments) >= 2 && fd.Strategy != StrategyDecomposed {
-			t.Fatalf("Force decomposed got %s with %d fragments", fd.Strategy, len(fd.Fragments))
 		}
 		fa := Compile(q, st, Config{Force: StrategyANN})
 		if fa.Strategy != StrategyMonolithic {
@@ -306,18 +227,6 @@ func TestCompileStrategySelection(t *testing.T) {
 			t.Fatalf("Force ann with ANN config got %s", fa.Strategy)
 		}
 	}
-	if !sawDecomposed {
-		t.Fatal("no 10..16-node pattern chose decomposition")
-	}
-	// A tiny pattern must never decompose.
-	small := graph.New("small")
-	small.AddNode("C")
-	small.AddNode("C")
-	small.AddEdge(0, 1, "s")
-	pl := Compile(small, randStats(rng, small), Config{})
-	if pl.Strategy != StrategyMonolithic || pl.Fragments != nil {
-		t.Fatalf("2-node pattern compiled to %s with %d fragments", pl.Strategy, len(pl.Fragments))
-	}
 	// ANN kicks in only under a budget with a large candidate estimate.
 	wide := graph.New("wide")
 	wide.AddNode("C")
@@ -325,7 +234,7 @@ func TestCompileStrategySelection(t *testing.T) {
 	wide.AddEdge(0, 1, "s")
 	st := &MapStats{N: 1000, Node: map[string]int{"C": 1000}, Edge: map[string]int{"s": 1000},
 		Trip: map[[3]string]int{{"C", "s", "C"}: 1000}}
-	pl = Compile(wide, st, Config{ANN: true, MaxResults: 5})
+	pl := Compile(wide, st, Config{ANN: true, MaxResults: 5})
 	if pl.Strategy != StrategyANN {
 		t.Fatalf("broad budgeted query compiled to %s, want ann", pl.Strategy)
 	}
@@ -340,17 +249,11 @@ func TestCompileDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, q := range randomPatterns(t, 23, 10, 8, 14) {
 		st := randStats(rng, q)
-		a := Compile(q, st, Config{HasViewCache: true})
+		cfg := Config{ANN: true, MaxResults: 1}
+		a := Compile(q, st, cfg)
 		for i := 0; i < 3; i++ {
-			b := Compile(q, st, Config{HasViewCache: true})
-			if a.Strategy != b.Strategy || !reflect.DeepEqual(a.Order, b.Order) ||
-				a.Canon != b.Canon || len(a.Fragments) != len(b.Fragments) {
+			if b := Compile(q, st, cfg); !reflect.DeepEqual(a, b) || a.String() != b.String() {
 				t.Fatalf("recompile diverged: %s vs %s", a, b)
-			}
-			for fi := range a.Fragments {
-				if a.Fragments[fi].Canon != b.Fragments[fi].Canon {
-					t.Fatalf("fragment %d canon diverged", fi)
-				}
 			}
 		}
 	}

@@ -2,32 +2,20 @@ package qcache
 
 import "strconv"
 
-// Per-shard-epoch key helpers. A sharded index (gindex.Sharded) bumps a
+// Epoch-scoped key helpers. A sharded index (gindex.Sharded) bumps a
 // shard's epoch only when a batch update rebuilds that shard, so baking
-// the epoch into the cache key makes invalidation free and exactly scoped:
-// after an update, keys for rebuilt shards change (their old entries
-// become unreachable and age out of the LRU) while keys for untouched
-// shards still hit. No Reset, no scanning, no entries dropped that are
+// epochs into the cache key makes invalidation free and exactly scoped:
+// after an update, keys that cover a rebuilt shard change (their old
+// entries become unreachable and age out of the LRU) while every other
+// key still hits. No Reset, no scanning, no entries dropped that are
 // still valid.
 
 // ShardKey keys a per-shard partial result: base (typically the canonical
 // query code) scoped to one shard at one epoch. Entries cached under it
-// stay valid exactly as long as the shard is not rebuilt.
+// stay valid exactly as long as the shard is not rebuilt. vqiserve keeps
+// no per-shard cache; vqibench's in-process replica still uses this key.
 func ShardKey(base string, shard int, epoch uint64) string {
 	return base + "|s" + strconv.Itoa(shard) + "@" + strconv.FormatUint(epoch, 10)
-}
-
-// ViewKey keys a materialized sub-pattern view: the complete per-shard
-// containment result for one plan fragment (base is the fragment's
-// canonical code plus any matching-option signature). The "v|" prefix
-// keeps views in a namespace of their own — a fragment that happens to
-// equal a user query must never alias the query's budgeted partial,
-// because views are computed unbudgeted (they must be complete to make
-// join intersection sound). Epoch scoping works exactly like ShardKey:
-// an RCU batch update bumps rebuilt shards' epochs, orphaning precisely
-// the views over stale shard contents.
-func ViewKey(base string, shard int, epoch uint64) string {
-	return "v|" + ShardKey(base, shard, epoch)
 }
 
 // PlanKey keys a compiled query plan by canonical query code (plus any

@@ -45,6 +45,12 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // here", never as data.
 var ErrCorrupt = errors.New("store: corrupt record")
 
+// ErrUnsupportedVersion marks a snapshot whose header names a format
+// version this build does not read (see DESIGN.md, "Format versions").
+// Recovery skips such a snapshot like a corrupt one; when no snapshot is
+// readable, the error store.Open returns wraps it.
+var ErrUnsupportedVersion = errors.New("store: unsupported snapshot format version")
+
 // frameHeaderSize is the fixed per-frame prefix: u32 payload length +
 // u32 CRC32C of the payload, both little-endian.
 const frameHeaderSize = 8

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"math/rand"
@@ -100,7 +101,7 @@ func TestFrameIndexOffsetsProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, labelCount, graphCount, sectionCount, err := decodeSnapshotHeader(hdrb, 0, true)
+		_, labelCount, graphCount, sectionCount, err := decodeSnapshotHeader(hdrb, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,32 +176,31 @@ func TestFrameIndexOffsetsProperty(t *testing.T) {
 	}
 }
 
-// TestV2ReaderRecoversV1Snapshot: the previous on-disk generation loads
-// through both the eager path and the mmap path (which transparently
-// falls back to the eager v1 reader), byte-equal to the original corpus.
-func TestV2ReaderRecoversV1Snapshot(t *testing.T) {
+// TestV1SnapshotRejected: a snapshot whose header names format version 1
+// is refused on both the eager and the mmap path with
+// ErrUnsupportedVersion — never read as corruption of the current format,
+// never silently decoded — and store.Open surfaces that reason when it is
+// the only snapshot.
+func TestV1SnapshotRejected(t *testing.T) {
 	dir := t.TempDir()
-	c := testCorpus(9)
-	meta := SnapshotMeta{Seq: 0, Shards: 3, Epochs: []uint64{1, 2, 3}}
-	if err := writeSnapshotFileV1(dir, c, meta); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, snapName(0)), []byte(snapMagic+"\x01\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	if _, _, err := loadSnapshotFile(dir, 0); !errors.Is(err, ErrUnsupportedVersion) {
+		t.Fatalf("eager load: err = %v, want ErrUnsupportedVersion", err)
+	}
+	if _, _, _, _, err := loadSnapshotMapped(dir, 0); !errors.Is(err, ErrUnsupportedVersion) {
+		t.Fatalf("mapped load: err = %v, want ErrUnsupportedVersion", err)
+	}
 	for _, mmap := range []bool{false, true} {
-		st, rec := mustOpen(t, dir, Options{Mmap: mmap})
-		if rec.Corpus == nil {
-			t.Fatalf("mmap=%v: no corpus recovered from v1 snapshot", mmap)
+		st, _, err := Open(context.Background(), dir, Options{Mmap: mmap})
+		if err == nil {
+			st.Abandon()
+			t.Fatalf("mmap=%v: Open recovered from a v1-only directory", mmap)
 		}
-		if rec.Mapped {
-			t.Fatalf("mmap=%v: v1 snapshot claims to be mapped", mmap)
+		if !errors.Is(err, ErrUnsupportedVersion) || errors.Is(err, ErrCorrupt) {
+			t.Fatalf("mmap=%v: Open err = %v, want ErrUnsupportedVersion only", mmap, err)
 		}
-		if len(rec.Sections) != 0 {
-			t.Fatalf("mmap=%v: v1 snapshot produced %d sections", mmap, len(rec.Sections))
-		}
-		if rec.Meta.Shards != 3 || len(rec.Meta.Epochs) != 3 {
-			t.Fatalf("mmap=%v: meta not recovered: %+v", mmap, rec.Meta)
-		}
-		sameCorpus(t, rec.Corpus, c)
-		st.Abandon()
 	}
 }
 

@@ -17,21 +17,18 @@ import (
 	"repro/internal/obs"
 )
 
-// Snapshot file layout.
+// Snapshot file layout, version 2 — the only version this code reads or
+// writes (see DESIGN.md, "Format versions"):
 //
-// Version 1 (legacy, still readable):
-//
-//	magic   "VQISNP" + version byte 1 + '\n'        (8 bytes, unframed)
+//	magic   "VQISNP" + version byte 2 + '\n'        (8 bytes, unframed)
 //	HEADER  frame: seq u64, shards u32, epochs shards*u64,
-//	               labelCount u32, graphCount u32
+//	               labelCount u32, graphCount u32, sectionCount u32
 //	LABELS  frame: labelCount strings (the interned label table,
 //	               first-appearance order)
 //	GRAPH   frame per graph: name, node label ids, edges in insertion
 //	               order (u, v, label id), CSR row-start offsets
 //
-// Version 2 (written by this code) keeps the same prefix — magic, HEADER
-// (plus a trailing sectionCount u32), LABELS, graph frames — and appends
-// the structures that make an O(index) cold boot possible:
+// followed by the structures that make an O(index) cold boot possible:
 //
 //	SECTION frame per persisted index section: shard u32, epoch u64,
 //	               opaque bytes (gindex's per-shard serialized state)
@@ -51,11 +48,10 @@ import (
 // hydration of each graph.
 
 const (
-	snapMagic     = "VQISNP"
-	snapVersion   = 2
-	snapVersionV1 = 1
-	snapSuffix    = ".vqisnap"
-	snapPrefix    = "snap-"
+	snapMagic   = "VQISNP"
+	snapVersion = 2
+	snapSuffix  = ".vqisnap"
+	snapPrefix  = "snap-"
 
 	snapFooterSize  = 16
 	snapFooterMagic = "VQI2"
@@ -339,7 +335,8 @@ func (st *Store) writeSnapshotFile(c *graph.Corpus, meta SnapshotMeta, sections 
 
 // loadSnapshotFile reads and validates the snapshot covering seq, eagerly
 // decoding every graph. Any checksum or structural failure returns
-// ErrCorrupt-wrapped errors. Both format versions are accepted.
+// ErrCorrupt-wrapped errors; any version other than snapVersion returns
+// ErrUnsupportedVersion.
 func loadSnapshotFile(dir string, seq uint64) (*graph.Corpus, SnapshotMeta, error) {
 	var meta SnapshotMeta
 	f, err := os.Open(filepath.Join(dir, snapName(seq)))
@@ -355,19 +352,19 @@ func loadSnapshotFile(dir string, seq uint64) (*graph.Corpus, SnapshotMeta, erro
 	if string(magic[:6]) != snapMagic || magic[7] != '\n' {
 		return nil, meta, fmt.Errorf("%w: bad snapshot magic %q", ErrCorrupt, magic)
 	}
-	switch magic[6] {
-	case snapVersionV1:
-		return loadSnapshotV1(r, seq)
-	case snapVersion:
-		return loadSnapshotV2(r, seq)
-	default:
-		return nil, meta, fmt.Errorf("store: unsupported snapshot version %d", magic[6])
+	if magic[6] != snapVersion {
+		return nil, meta, unsupportedVersion(magic[6])
 	}
+	return loadSnapshotV2(r, seq)
 }
 
-// decodeSnapshotHeader parses the HEADER frame payload shared by both
-// versions; v2 carries a trailing section count.
-func decodeSnapshotHeader(hdrb []byte, seq uint64, v2 bool) (meta SnapshotMeta, labelCount, graphCount, sectionCount uint32, err error) {
+// unsupportedVersion reports snapshot format version v as unreadable.
+func unsupportedVersion(v byte) error {
+	return fmt.Errorf("%w %d (this build reads version %d)", ErrUnsupportedVersion, v, snapVersion)
+}
+
+// decodeSnapshotHeader parses the HEADER frame payload.
+func decodeSnapshotHeader(hdrb []byte, seq uint64) (meta SnapshotMeta, labelCount, graphCount, sectionCount uint32, err error) {
 	hd := dec{b: hdrb}
 	meta.Seq = hd.u64()
 	shards := hd.u32()
@@ -380,9 +377,7 @@ func decodeSnapshotHeader(hdrb []byte, seq uint64, v2 bool) (meta SnapshotMeta, 
 	}
 	labelCount = hd.u32()
 	graphCount = hd.u32()
-	if v2 {
-		sectionCount = hd.u32()
-	}
+	sectionCount = hd.u32()
 	if err := hd.done(); err != nil {
 		return meta, 0, 0, 0, fmt.Errorf("snapshot header: %w", err)
 	}
@@ -403,42 +398,6 @@ func decodeLabelTable(labb []byte, labelCount uint32) ([]string, error) {
 		return nil, fmt.Errorf("snapshot label table: %w", err)
 	}
 	return labels, nil
-}
-
-// loadSnapshotV1 is the retained legacy reader: header, labels, then graph
-// frames straight to EOF.
-func loadSnapshotV1(r io.Reader, seq uint64) (*graph.Corpus, SnapshotMeta, error) {
-	var meta SnapshotMeta
-	hdrb, err := readFrame(r)
-	if err != nil {
-		return nil, meta, fmt.Errorf("snapshot header: %w", err)
-	}
-	meta, labelCount, graphCount, _, err := decodeSnapshotHeader(hdrb, seq, false)
-	if err != nil {
-		return nil, meta, err
-	}
-	labb, err := readFrame(r)
-	if err != nil {
-		return nil, meta, fmt.Errorf("snapshot label table: %w", err)
-	}
-	labels, err := decodeLabelTable(labb, labelCount)
-	if err != nil {
-		return nil, meta, err
-	}
-	c := graph.NewCorpus()
-	for i := uint32(0); i < graphCount; i++ {
-		if err := readGraphFrame(r, c, labels, i, graphCount); err != nil {
-			return nil, meta, err
-		}
-	}
-	// A clean v1 snapshot ends exactly after its last graph frame.
-	if _, err := readFrame(r); err != io.EOF {
-		return nil, meta, fmt.Errorf("%w: trailing data after %d graphs", ErrCorrupt, graphCount)
-	}
-	if obs.On() {
-		obsSnapLoads.Inc()
-	}
-	return c, meta, nil
 }
 
 // readGraphFrame reads and decodes one graph frame into c.
@@ -482,7 +441,7 @@ func loadSnapshotV2(r *countingReader, seq uint64) (*graph.Corpus, SnapshotMeta,
 	if err != nil {
 		return nil, meta, fmt.Errorf("snapshot header: %w", err)
 	}
-	meta, labelCount, graphCount, sectionCount, err := decodeSnapshotHeader(hdrb, seq, true)
+	meta, labelCount, graphCount, sectionCount, err := decodeSnapshotHeader(hdrb, seq)
 	if err != nil {
 		return nil, meta, err
 	}
@@ -590,48 +549,6 @@ func checkFooter(foot [snapFooterSize]byte, wantOff uint64) error {
 		return fmt.Errorf("%w: footer frame-index offset %d, actual %d", ErrCorrupt, off, wantOff)
 	}
 	return nil
-}
-
-// writeSnapshotFileV1 writes a version-1 snapshot — the legacy layout with
-// no frame index, sections, or footer. Kept for the cross-version tests
-// that prove the current reader recovers old snapshots byte-equal.
-func writeSnapshotFileV1(dir string, c *graph.Corpus, meta SnapshotMeta) error {
-	var labels []string
-	labelID := make(map[string]uint32)
-	intern := func(s string) uint32 {
-		if id, ok := labelID[s]; ok {
-			return id
-		}
-		id := uint32(len(labels))
-		labels = append(labels, s)
-		labelID[s] = id
-		return id
-	}
-	graphFrames := make([][]byte, 0, c.Len())
-	c.Each(func(_ int, g *graph.Graph) {
-		var e enc
-		encodeGraphInterned(&e, g, intern)
-		graphFrames = append(graphFrames, appendFrame(nil, e.b))
-	})
-	var hdr enc
-	hdr.u64(meta.Seq)
-	hdr.u32(uint32(meta.Shards))
-	for s := 0; s < meta.Shards; s++ {
-		hdr.u64(meta.epochOf(s))
-	}
-	hdr.u32(uint32(len(labels)))
-	hdr.u32(uint32(c.Len()))
-	var lab enc
-	for _, l := range labels {
-		lab.str(l)
-	}
-	out := []byte(snapMagic + string(rune(snapVersionV1)) + "\n")
-	out = appendFrame(out, hdr.b)
-	out = appendFrame(out, lab.b)
-	for _, fr := range graphFrames {
-		out = append(out, fr...)
-	}
-	return os.WriteFile(filepath.Join(dir, snapName(meta.Seq)), out, 0o644)
 }
 
 // syncDir fsyncs a directory so renames and creates within it are

@@ -60,44 +60,24 @@ func openSnapMapping(path string) (*snapMapping, error) {
 // loadSnapshotMapped validates the snapshot covering seq by its index
 // structures only and returns a lazy corpus plus the persisted index
 // sections. mapped reports whether the graphs really are backed by an OS
-// mapping (false on the read fallback and for v1 files, which take the
-// eager path). A corrupt section frame is skipped — the caller rebuilds
-// that shard — while a corrupt header, label table, frame index, or footer
-// rejects the whole snapshot so recovery falls back to the previous one.
+// mapping (false on the read fallback). A corrupt section frame is
+// skipped — the caller rebuilds that shard — while a corrupt header, label
+// table, frame index, or footer rejects the whole snapshot so recovery
+// falls back to the previous one.
 func loadSnapshotMapped(dir string, seq uint64) (c *graph.Corpus, meta SnapshotMeta, sections []IndexSection, mapped bool, err error) {
-	path := filepath.Join(dir, snapName(seq))
-	fi, err := os.Stat(path)
-	if err != nil {
-		return nil, meta, nil, false, err
-	}
-	if fi.Size() >= 8 {
-		var magic [8]byte
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, meta, nil, false, err
-		}
-		_, rerr := f.ReadAt(magic[:], 0)
-		f.Close()
-		if rerr == nil && string(magic[:6]) == snapMagic && magic[6] == snapVersionV1 {
-			// Old snapshot: no frame index to map by. Eager v1 load.
-			c, meta, err := loadSnapshotFile(dir, seq)
-			return c, meta, nil, false, err
-		}
-	}
-
-	m, err := openSnapMapping(path)
+	m, err := openSnapMapping(filepath.Join(dir, snapName(seq)))
 	if err != nil {
 		return nil, meta, nil, false, err
 	}
 	data := m.data
-	if len(data) < 8+snapFooterSize {
-		return nil, meta, nil, false, fmt.Errorf("%w: snapshot shorter than magic + footer", ErrCorrupt)
-	}
-	if string(data[:6]) != snapMagic || data[7] != '\n' {
-		return nil, meta, nil, false, fmt.Errorf("%w: bad snapshot magic %q", ErrCorrupt, data[:8])
+	if len(data) < 8 || string(data[:6]) != snapMagic || data[7] != '\n' {
+		return nil, meta, nil, false, fmt.Errorf("%w: bad snapshot magic %q", ErrCorrupt, data[:min(len(data), 8)])
 	}
 	if data[6] != snapVersion {
-		return nil, meta, nil, false, fmt.Errorf("store: unsupported snapshot version %d", data[6])
+		return nil, meta, nil, false, unsupportedVersion(data[6])
+	}
+	if len(data) < 8+snapFooterSize {
+		return nil, meta, nil, false, fmt.Errorf("%w: snapshot shorter than magic + footer", ErrCorrupt)
 	}
 
 	var foot [snapFooterSize]byte
@@ -116,7 +96,7 @@ func loadSnapshotMapped(dir string, seq uint64) (c *graph.Corpus, meta SnapshotM
 	if err != nil {
 		return nil, meta, nil, false, fmt.Errorf("snapshot header: %w", err)
 	}
-	meta, labelCount, graphCount, sectionCount, err := decodeSnapshotHeader(hdrb, seq, true)
+	meta, labelCount, graphCount, sectionCount, err := decodeSnapshotHeader(hdrb, seq)
 	if err != nil {
 		return nil, meta, nil, false, err
 	}

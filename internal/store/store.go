@@ -149,11 +149,11 @@ func Open(ctx context.Context, dir string, opts Options) (st *Store, rec *Recove
 	if err != nil {
 		return nil, nil, err
 	}
+	var lerr error // why the last snapshot tried was rejected
 	for _, seq := range seqs {
 		var (
 			c    *graph.Corpus
 			meta SnapshotMeta
-			lerr error
 		)
 		if opts.Mmap {
 			c, meta, rec.Sections, rec.Mapped, lerr = loadSnapshotMapped(dir, seq)
@@ -177,7 +177,7 @@ func Open(ctx context.Context, dir string, opts Options) (st *Store, rec *Recove
 		obsBootValidateSec.Set(time.Since(t0).Seconds())
 	}
 	if rec.Corpus == nil && rec.SnapshotsSkipped > 0 {
-		return nil, nil, fmt.Errorf("store: all %d snapshots in %s are corrupt", rec.SnapshotsSkipped, dir)
+		return nil, nil, fmt.Errorf("store: all %d snapshots in %s are corrupt or unreadable: %w", rec.SnapshotsSkipped, dir, lerr)
 	}
 
 	// Stage 2: WAL scan + torn-tail truncation + suffix selection.

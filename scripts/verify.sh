@@ -117,18 +117,22 @@ code="$(curl -s -o /dev/null -w '%{http_code}' "http://$addr/api/similar" -d '{"
   || { echo "/api/similar bad mode: got $code, want 400"; exit 1; }
 echo "similarity endpoint: OK"
 
-echo "== query planner smoke (live /api/query?plan=decompose trace) =="
-# A 9-ring with a chord: 10 edges, comfortably past the decomposition
-# threshold, so the forced-decompose plan must report its strategy and the
-# trace must show the fragment-probe/join/verify stages.
-plan_resp="$(curl -fsS "http://$addr/api/query?plan=decompose" \
-  -d '{"nodes":["C","C","C","C","C","C","C","C","C"],"edges":[{"u":0,"v":1,"label":"s"},{"u":1,"v":2,"label":"s"},{"u":2,"v":3,"label":"s"},{"u":3,"v":4,"label":"s"},{"u":4,"v":5,"label":"s"},{"u":5,"v":6,"label":"s"},{"u":6,"v":7,"label":"s"},{"u":7,"v":8,"label":"s"},{"u":8,"v":0,"label":"s"},{"u":0,"v":4,"label":"s"}]}')"
-grep -q '"strategy":"decomposed"' <<<"$plan_resp" \
-  || { echo "?plan=decompose did not report a decomposed strategy: $plan_resp"; exit 1; }
-grep -q '"plan.fragment-probe"' <<<"$plan_resp" \
-  || { echo "?plan=decompose trace missing the fragment-probe stage: $plan_resp"; exit 1; }
+echo "== query planner smoke (live /api/query?plan= modes) =="
+# The retired decompose mode is an unknown mode like any other: 400 bad_plan.
+code="$(curl -s -o "$tmpdir/badplan.json" -w '%{http_code}' "http://$addr/api/query?plan=decompose" \
+  -d '{"nodes":["C","C"],"edges":[{"u":0,"v":1,"label":"s"}]}')"
+[[ "$code" == 400 ]] && grep -q '"bad_plan"' "$tmpdir/badplan.json" \
+  || { echo "?plan=decompose: got $code $(cat "$tmpdir/badplan.json"), want 400 bad_plan"; exit 1; }
+# The server runs -ann, so a forced ANN-first plan must report its
+# strategy and the trace must show the shortlist and verify stages.
+plan_resp="$(curl -fsS "http://$addr/api/query?plan=ann" \
+  -d '{"nodes":["C","C","C"],"edges":[{"u":0,"v":1,"label":"s"},{"u":1,"v":2,"label":"s"}]}')"
+grep -q '"strategy":"ann"' <<<"$plan_resp" \
+  || { echo "?plan=ann did not report the ann strategy: $plan_resp"; exit 1; }
+grep -q '"plan.shortlist"' <<<"$plan_resp" \
+  || { echo "?plan=ann trace missing the shortlist stage: $plan_resp"; exit 1; }
 grep -q '"plan.verify"' <<<"$plan_resp" \
-  || { echo "?plan=decompose trace missing the verify stage: $plan_resp"; exit 1; }
+  || { echo "?plan=ann trace missing the verify stage: $plan_resp"; exit 1; }
 kill "$server_pid" && wait "$server_pid" 2>/dev/null || true
 server_pid=""
 echo "query planner: OK"
