@@ -13,7 +13,6 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/graph"
 	"repro/internal/pattern"
-	"repro/internal/plan"
 	"repro/internal/qcache"
 	"repro/internal/vqi"
 )
@@ -139,8 +138,8 @@ func TestCacheDisabledByDefaultConfig(t *testing.T) {
 	}
 }
 
-// TestQueryCacheKeys pins the keys of the two caches one /api/query
-// fills — response and plan — to the query's canonical code.
+// TestQueryCacheKeys pins the key of the response cache one /api/query
+// fills to the query's canonical code.
 func TestQueryCacheKeys(t *testing.T) {
 	s := cachedTestServer(t)
 	body := `{"nodes":["C","O","C"],"edges":[{"u":0,"v":1,"label":"s"},{"u":1,"v":2,"label":"s"}]}`
@@ -161,9 +160,5 @@ func TestQueryCacheKeys(t *testing.T) {
 	s.qc.Do(qcache.EpochKey(code+"|plan=monolithic", idx.Epochs()), func() (cachedResponse, bool) {
 		t.Error("no response cached under the canonical response key")
 		return cachedResponse{}, false
-	})
-	s.planQC.Do(qcache.PlanKey(code+"|m=monolithic", idx.Epochs()), func() (*plan.Plan, bool) {
-		t.Error("no plan cached under the canonical plan key")
-		return nil, false
 	})
 }

@@ -239,21 +239,15 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx := r.Context()
 	corpus, idx := s.snapshot()
-	// One canonical code keys every cache this request touches: the
-	// response and the plan.
-	var code string
-	if s.qc != nil || s.planQC != nil {
-		code = canon.String(q)
-	}
-	// The plan is compiled (or fetched from the plan cache) only when the
-	// answer is computed, so a response-cache hit pays no plan lookup —
-	// except for a ?plan= request, which needs the summary even when the
-	// answer itself is served from cache.
+	// The plan is compiled only when the answer is computed, so a
+	// response-cache hit pays no compile — except for a ?plan= request,
+	// which needs the summary even when the answer itself is served from
+	// cache.
 	var pl *plan.Plan
 	compile := func() {
 		if pl == nil && mode != "off" && !s.network && idx != nil {
 			_, span := obs.StartSpan(ctx, "plan.compile")
-			pl = s.compiledPlan(idx, q, code, mode)
+			pl = s.compilePlan(idx, q, mode)
 			span.End()
 		}
 	}
@@ -284,7 +278,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// its waiters but never cached. Waiters de-duplicated onto an in-flight
 	// computation share the leader's outcome (including its budget), which
 	// is the desired behavior for a stampede of identical queries.
-	key := code + "|plan=" + mode
+	key := canon.String(q) + "|plan=" + mode
 	if idx != nil {
 		key = qcache.EpochKey(key, idx.Epochs())
 	}
@@ -320,11 +314,11 @@ func (s *server) planParam(w http.ResponseWriter, r *http.Request) (string, bool
 	}
 }
 
-// compiledPlan compiles q for the given mode, serving repeats from the
-// plan cache under q's canonical code. PlanKey scopes the entry to the
-// full epoch vector: plans bake in corpus-wide label statistics, so any
-// shard rebuild retires them.
-func (s *server) compiledPlan(idx *gindex.Sharded, q *graph.Graph, code, mode string) *plan.Plan {
+// compilePlan compiles q for the given mode. Plans are not cached: one
+// is compiled only on a response-cache miss, and a plan cache keyed by
+// the same code and epoch vector could hit only where the response was
+// truncated or evicted while its plan survived.
+func (s *server) compilePlan(idx *gindex.Sharded, q *graph.Graph, mode string) *plan.Plan {
 	cfg := plan.Config{ANN: s.annEnabled, MaxResults: s.maxResults}
 	switch mode {
 	case "monolithic":
@@ -332,13 +326,7 @@ func (s *server) compiledPlan(idx *gindex.Sharded, q *graph.Graph, code, mode st
 	case "ann":
 		cfg.Force = plan.StrategyANN
 	}
-	if s.planQC == nil {
-		return idx.CompilePlan(q, cfg)
-	}
-	key := qcache.PlanKey(code+"|m="+mode, idx.Epochs())
-	return s.planQC.Do(key, func() (*plan.Plan, bool) {
-		return idx.CompilePlan(q, cfg), true
-	})
+	return idx.CompilePlan(q, cfg)
 }
 
 // attachPlanTrace adds the plan summary and this request's stage timings
@@ -379,14 +367,19 @@ func (s *server) execQuery(ctx context.Context, q *graph.Graph, corpus *graph.Co
 			status = http.StatusGatewayTimeout
 		}
 	} else if idx != nil {
-		res := s.searchSharded(ctx, idx, q, pl)
+		sctx, span := obs.StartSpan(ctx, "gindex.search")
+		res := s.searchSharded(sctx, idx, q, pl)
+		span.End()
 		resp.Matched = res.Matches
 		resp.Truncated = res.Truncated
 		if ctx.Err() != nil {
 			status = http.StatusGatewayTimeout
 		} else {
-			// Facets cost extra matching; skip them once the budget is gone.
-			resp.Facets = s.facets(resp.Matched, corpus)
+			// Facets may cost extra matching; skip them once the budget is
+			// gone.
+			_, span := obs.StartSpan(ctx, "results.facets")
+			resp.Facets = s.facets(resp.Matched, idx)
+			span.End()
 		}
 	} else {
 		// Fallback without an index (e.g. before the background build
@@ -429,12 +422,16 @@ func (s *server) searchSharded(ctx context.Context, idx *gindex.Sharded, q *grap
 	return idx.SearchCtx(ctx, q, opts)
 }
 
-// facets groups matched graphs by the spec's canned patterns.
-func (s *server) facets(matched []string, corpus *graph.Corpus) []facetEntry {
-	if len(matched) == 0 || s.canned == nil {
+// facets groups matched graphs by the spec's canned patterns. Which
+// patterns a graph contains is read from the index's memoized panel masks
+// (gindex.Sharded.PanelMasks), so only a graph faceted for the first time
+// pays VF2 checks; the grouping is results.Facets' own.
+func (s *server) facets(matched []string, idx *gindex.Sharded) []facetEntry {
+	if len(matched) == 0 || s.panel == nil {
 		return nil
 	}
-	fs, _ := results.Facets(matched, corpus, s.canned, pattern.MatchOptions())
+	masks := idx.PanelMasks(matched, s.panel)
+	fs, _ := results.Group(matched, s.panel.Len(), func(pi, mi int) bool { return masks[mi].Get(pi) })
 	var out []facetEntry
 	for _, f := range fs {
 		out = append(out, facetEntry{

@@ -26,8 +26,8 @@
 //	                  containment
 //	POST /admin/update {"add":[{"name":"g9","nodes":[...],"edges":[...]}],"remove":["g3"]}
 //	                  batch corpus update; rebuilds only the index shards
-//	                  owning touched graphs; cached answers and plans
-//	                  retire by epoch key
+//	                  owning touched graphs; cached answers retire by
+//	                  epoch key
 //	GET  /metrics     counters, gauges and latency histograms (JSON;
 //	                  ?format=prometheus for the text exposition format)
 //	GET  /debug/vars  the same metrics as one flat expvar-style map
@@ -68,8 +68,6 @@ import (
 	"repro/internal/gio"
 	"repro/internal/graph"
 	"repro/internal/obs"
-	"repro/internal/pattern"
-	"repro/internal/plan"
 	"repro/internal/qcache"
 	"repro/internal/store"
 	"repro/internal/vqi"
@@ -86,10 +84,11 @@ const (
 
 type server struct {
 	spec *vqi.Spec
-	// canned is the spec's canned panel decoded once at startup (the spec
-	// never changes while serving); facets match against it. Nil when the
-	// spec does not decode, which disables facets.
-	canned  []*pattern.Pattern
+	// panel is the spec's canned panel decoded once at startup (the spec
+	// never changes while serving); facets group matches by it, reading
+	// containment masks the index memoizes per graph. Nil when the spec
+	// does not decode, which disables facets.
+	panel   *gindex.Panel
 	network bool
 	workers int // worker pool size for per-graph query verification
 
@@ -136,12 +135,6 @@ type server struct {
 	// planEnabled routes queries through the plan compiler by default
 	// (-plan); ?plan= overrides per request either way.
 	planEnabled bool
-
-	// planQC caches compiled plans under qcache.PlanKey (canonical query
-	// code + compile mode, scoped to the full epoch vector — plans bake in
-	// corpus-wide label statistics, so any shard rebuild invalidates them).
-	// nil when caching is disabled.
-	planQC *qcache.Cache[*plan.Plan]
 
 	// phase is the boot state machine (building → replaying → ready).
 	// Query-shaped endpoints and /readyz gate on it; /healthz does not.
@@ -231,12 +224,11 @@ func newServer(spec *vqi.Spec, corpus *graph.Corpus, cfg serverConfig) *server {
 	}
 	if panel, err := spec.AllPatterns(); err == nil {
 		// Only canned patterns facet usefully; basics match almost everything.
-		s.canned = panel[len(spec.Patterns.Basic):]
+		s.panel = gindex.NewPanel(panel[len(spec.Patterns.Basic):])
 	}
 	if cfg.cacheSize > 0 {
 		s.qc = qcache.New[cachedResponse](cfg.cacheSize)
 		s.simQC = qcache.New[cachedSimilar](cfg.cacheSize)
-		s.planQC = qcache.New[*plan.Plan](cfg.cacheSize)
 	}
 	return s
 }
@@ -325,9 +317,6 @@ func (s *server) buildIndex() {
 	}
 	if s.simQC != nil {
 		s.simQC.Reset()
-	}
-	if s.planQC != nil {
-		s.planQC.Reset()
 	}
 	s.phase.Store(phaseReady)
 	corpus, _ = s.snapshot()

@@ -2,7 +2,9 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -10,6 +12,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/gindex"
 	"repro/internal/pattern"
+	"repro/internal/results"
 	"repro/internal/tattoo"
 	"repro/internal/vqi"
 )
@@ -147,6 +150,64 @@ func TestHandleQueryFacets(t *testing.T) {
 			t.Fatalf("malformed facet %+v", f)
 		}
 	}
+}
+
+// TestQueryFacetsMatchResultsFacets: the facets /api/query serves from the
+// index's memoized panel masks equal results.Facets over the serving
+// corpus, before and after batch updates whose removals renumber shard
+// slots.
+func TestQueryFacetsMatchResultsFacets(t *testing.T) {
+	s := adminServer(t, 3, 0)
+	h := s.routes()
+	panel, err := s.spec.AllPatterns()
+	if err != nil {
+		t.Fatal(err)
+	}
+	canned := panel[len(s.spec.Patterns.Basic):]
+	bodies := []string{
+		ccQuery,
+		`{"nodes":["C","O"],"edges":[{"u":0,"v":1,"label":"s"}]}`,
+		`{"nodes":["C","C","C"],"edges":[{"u":0,"v":1,"label":"s"},{"u":1,"v":2,"label":"s"}]}`,
+	}
+	check := func(what string) {
+		t.Helper()
+		corpus, _ := s.snapshot()
+		faceted := 0
+		for bi, body := range bodies {
+			rec, raw := post(t, h, "/api/query", body)
+			if rec.Code != 200 {
+				t.Fatalf("%s body%d: status = %d (%s)", what, bi, rec.Code, raw)
+			}
+			var resp queryResponse
+			if err := json.Unmarshal(raw, &resp); err != nil {
+				t.Fatal(err)
+			}
+			fs, _ := results.Facets(resp.Matched, corpus, canned, pattern.MatchOptions())
+			var want []facetEntry
+			for _, f := range fs {
+				want = append(want, facetEntry{Pattern: s.spec.Patterns.Canned[f.PatternIndex].Name, Graphs: f.Graphs})
+			}
+			if !reflect.DeepEqual(resp.Facets, want) {
+				t.Fatalf("%s body%d: facets %+v, want %+v", what, bi, resp.Facets, want)
+			}
+			faceted += len(want)
+		}
+		if faceted == 0 {
+			t.Fatalf("%s: no query produced a facet", what)
+		}
+	}
+	check("initial")
+	corpus, _ := s.snapshot()
+	remove := fmt.Sprintf(`{"remove":[%q,%q],"add":[{"name":"upd-a","nodes":["C","C","O"],"edges":[{"u":0,"v":1,"label":"s"},{"u":1,"v":2,"label":"s"}]}]}`,
+		corpus.Name(0), corpus.Name(5))
+	if rec, raw := post(t, h, "/admin/update", remove); rec.Code != 200 {
+		t.Fatalf("update status = %d (%s)", rec.Code, raw)
+	}
+	check("after removing two graphs and adding one")
+	if rec, raw := post(t, h, "/admin/update", `{"remove":["upd-a"]}`); rec.Code != 200 {
+		t.Fatalf("update status = %d (%s)", rec.Code, raw)
+	}
+	check("after removing the added graph")
 }
 
 func TestHandleSuggest(t *testing.T) {

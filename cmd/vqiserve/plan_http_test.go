@@ -149,7 +149,8 @@ func TestHandleQueryPlanModesAgree(t *testing.T) {
 }
 
 // TestHandleQueryPlanTrace: an explicit ?plan=ann request on a large
-// query reports the ANN-first strategy and the plan stage spans.
+// query reports the ANN-first strategy, the plan stage spans, and the
+// search and facet layer spans around them.
 func TestHandleQueryPlanTrace(t *testing.T) {
 	s := planTestServer(t)
 	h := s.routes()
@@ -168,7 +169,7 @@ func TestHandleQueryPlanTrace(t *testing.T) {
 	for _, st := range resp.Stages {
 		stages[st.Name] = true
 	}
-	for _, want := range []string{"plan.compile", "plan.shortlist", "plan.verify"} {
+	for _, want := range []string{"plan.compile", "gindex.search", "plan.shortlist", "plan.verify", "results.facets"} {
 		if !stages[want] {
 			t.Fatalf("stage %q missing from %v", want, resp.Stages)
 		}
@@ -209,10 +210,10 @@ func TestHandleQueryPlanCachedStillTraced(t *testing.T) {
 	}
 }
 
-// TestPlanCacheMetricsExported: the plan cache gauges appear at the
-// metrics boundary (sanitized like every other cache family), and the
-// retired view and shard-partial caches export nothing.
-func TestPlanCacheMetricsExported(t *testing.T) {
+// TestCacheMetricsExported: the response cache's gauges appear at the
+// metrics boundary, and the retired plan, view and shard-partial caches
+// export nothing.
+func TestCacheMetricsExported(t *testing.T) {
 	s := planTestServer(t)
 	h := s.routes()
 	postPlanQuery(t, h, "/api/query?plan=ann", bigQueryBody(t, s, 10))
@@ -226,23 +227,25 @@ func TestPlanCacheMetricsExported(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, key := range []string{
-		"vqiserve_plancache_hits", "vqiserve_plancache_misses", "vqiserve_plancache_hit_ratio",
+		"vqiserve_cache_hits", "vqiserve_cache_misses", "vqiserve_cache_hit_ratio",
 	} {
 		if _, ok := vars[key]; !ok {
 			t.Fatalf("gauge %q missing from /debug/vars", key)
 		}
 	}
 	for key := range vars {
-		if strings.HasPrefix(key, "vqiserve_viewcache_") || strings.HasPrefix(key, "vqiserve_shardcache_") {
-			t.Fatalf("retired cache gauge %q exported", key)
+		for _, retired := range []string{"vqiserve_plancache_", "vqiserve_viewcache_", "vqiserve_shardcache_"} {
+			if strings.HasPrefix(key, retired) {
+				t.Fatalf("retired cache gauge %q exported", key)
+			}
 		}
 	}
-	if misses := string(vars["vqiserve_plancache_misses"]); misses == "0" {
-		t.Fatal("plan compile never reached the plan cache")
+	if misses := string(vars["vqiserve_cache_misses"]); misses == "0" {
+		t.Fatal("the query never reached the response cache")
 	}
 }
 
-// TestQueryCacheOnOffAgree: a server with the response and plan caches on
+// TestQueryCacheOnOffAgree: a server with the response cache on
 // answers every query — first computed, then repeated as a cache hit —
 // with the same matched and truncated fields as a -cache=false server, at
 // every result budget and planning mode.

@@ -14,6 +14,7 @@ package gindex
 import (
 	"context"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -60,33 +61,43 @@ type sizeClass struct {
 }
 
 func buildSizeClass(vals []int) sizeClass {
-	n := len(vals)
-	var sc sizeClass
-	if n == 0 {
+	if len(vals) == 0 {
 		// Empty corpus: no value range, so no suffix bitsets. atLeast
 		// then always answers (nil, false), which Candidates turns into
 		// "no matches".
-		return sc
+		return sizeClass{}
 	}
-	seen := make(map[int]bool, n)
-	for _, v := range vals {
-		if !seen[v] {
-			seen[v] = true
-			sc.sizes = append(sc.sizes, v)
-		}
+	sizes := slices.Clone(vals)
+	slices.Sort(sizes)
+	sizes = slices.Compact(sizes)
+	ge := carve(len(sizes), (len(vals)+63)/64)
+	for gi, v := range vals {
+		i, _ := slices.BinarySearch(sizes, v)
+		ge[i].Set(gi)
 	}
-	sort.Ints(sc.sizes)
-	sc.ge = make([]pattern.Bitset, len(sc.sizes))
-	for i, s := range sc.sizes {
-		b := pattern.NewBitset(n)
-		for gi, v := range vals {
-			if v >= s {
-				b.Set(gi)
-			}
-		}
-		sc.ge[i] = b
+	return suffixClass(sizes, ge)
+}
+
+// suffixClass turns exact-value bitsets into a sizeClass: given sizes
+// (distinct, ascending) and ge[i] holding the graphs whose value is
+// exactly sizes[i], it ORs every level into the one below it, in place.
+// O(levels · words).
+func suffixClass(sizes []int, ge []pattern.Bitset) sizeClass {
+	for i := len(ge) - 2; i >= 0; i-- {
+		ge[i].Or(ge[i+1])
 	}
-	return sc
+	return sizeClass{sizes: sizes, ge: ge}
+}
+
+// carve returns k zeroed bitsets of the given word count, cut from one
+// allocation.
+func carve(k, words int) []pattern.Bitset {
+	buf := make([]uint64, k*words)
+	out := make([]pattern.Bitset, k)
+	for i := range out {
+		out[i] = buf[i*words : (i+1)*words : (i+1)*words]
+	}
+	return out
 }
 
 // atLeast returns the bitset of graphs with size >= k; ok is false when no
@@ -111,16 +122,24 @@ type Index struct {
 	numEdges  []int
 	sizeNodes sizeClass
 	sizeEdges sizeClass
-	// labelIdx holds the per-graph node-label index for VF2. Eager builds
-	// fill every slot; an index restored from a persisted section leaves
-	// them nil and fills each on first verification of that graph (atomic,
-	// so concurrent shard searches race benignly to an identical value).
+	// Count features (features.go): how many nodes carry a label, how many
+	// edges form a triple, and the largest degree of a label's nodes.
+	nodeCount   countIndex[string]
+	tripleCount countIndex[triple]
+	labelDegree countIndex[string]
+	// labelIdx holds the per-graph node-label index for VF2, filled on
+	// the first verification of that graph (atomic, so concurrent shard
+	// searches race benignly to an identical value) and carried over by
+	// derive. Graphs no query verifies never pay for one.
 	labelIdx []atomic.Pointer[isomorph.LabelIndex]
+	// panelMask memoizes which patterns of a Panel each graph contains
+	// (facets.go). Filled on first use for a matched graph, the way
+	// labelIdx is; never persisted.
+	panelMask []atomic.Pointer[panelMask]
 }
 
 // targetIndexFor returns graph gi's label index, building and caching it
-// if the slot is still empty (a section-restored index never paid the
-// eager pass).
+// if the slot is still empty.
 func (idx *Index) targetIndexFor(gi int, g *graph.Graph) *isomorph.LabelIndex {
 	if li := idx.labelIdx[gi].Load(); li != nil {
 		return li
@@ -137,53 +156,67 @@ func Build(c *graph.Corpus) *Index {
 
 // derive returns the index over c, whose first len(keep) graphs are the
 // receiver's graphs at positions keep (ascending) and whose remaining
-// graphs are new. Survivors' sizes, label indexes and inverted-bitset
-// bits are carried over from the receiver — they are never hydrated, so
-// a lazy corpus stays lazy — and only the new graphs are read. Bitsets
-// left empty by the removals are dropped, so the result is byte-identical
-// to Build(c). The zero Index is the empty index; the receiver is not
-// modified.
+// graphs are new. Survivors' sizes, label indexes, panel masks and
+// inverted-bitset bits are carried over from the receiver — they are
+// never hydrated, so a lazy corpus stays lazy — and only the new graphs
+// are read, in one pass that feeds every feature. Bitsets left empty by
+// the removals are dropped, so the result is byte-identical to Build(c).
+// The zero Index is the empty index; the receiver is not modified.
 func (idx *Index) derive(c *graph.Corpus, keep []int) *Index {
 	n := c.Len()
+	runs := keepRuns(keep)
 	nx := &Index{
-		corpus:    c,
-		nodeLabel: make(map[string]pattern.Bitset, len(idx.nodeLabel)),
-		edgeLabel: make(map[string]pattern.Bitset, len(idx.edgeLabel)),
-		triples:   make(map[triple]pattern.Bitset, len(idx.triples)),
-		numNodes:  make([]int, n),
-		numEdges:  make([]int, n),
-		labelIdx:  make([]atomic.Pointer[isomorph.LabelIndex], n),
+		corpus:      c,
+		nodeLabel:   make(map[string]pattern.Bitset, len(idx.nodeLabel)),
+		edgeLabel:   make(map[string]pattern.Bitset, len(idx.edgeLabel)),
+		triples:     make(map[triple]pattern.Bitset, len(idx.triples)),
+		numNodes:    make([]int, n),
+		numEdges:    make([]int, n),
+		nodeCount:   newCountIndex(idx.nodeCount, runs, n),
+		tripleCount: newCountIndex(idx.tripleCount, runs, n),
+		labelDegree: newCountIndex(idx.labelDegree, runs, n),
+		labelIdx:    make([]atomic.Pointer[isomorph.LabelIndex], n),
+		panelMask:   make([]atomic.Pointer[panelMask], n),
 	}
 	for i, old := range keep {
 		nx.numNodes[i] = idx.numNodes[old]
 		nx.numEdges[i] = idx.numEdges[old]
 		nx.labelIdx[i].Store(idx.labelIdx[old].Load())
+		nx.panelMask[i].Store(idx.panelMask[old].Load())
 	}
-	runs := keepRuns(keep)
 	compactInto(nx.nodeLabel, idx.nodeLabel, runs, n)
 	compactInto(nx.edgeLabel, idx.edgeLabel, runs, n)
 	compactInto(nx.triples, idx.triples, runs, n)
+	fb := newFeatureBuilder(nx, n)
 	for gi := len(keep); gi < n; gi++ {
 		g := c.Graph(gi)
 		nx.numNodes[gi] = g.NumNodes()
 		nx.numEdges[gi] = g.NumEdges()
-		nx.labelIdx[gi].Store(isomorph.BuildLabelIndex(g))
-		for v := 0; v < g.NumNodes(); v++ {
-			bitsetFor(nx.nodeLabel, g.NodeLabel(v), n).Set(gi)
-		}
-		for ei := 0; ei < g.NumEdges(); ei++ {
-			e := g.Edge(ei)
-			bitsetFor(nx.edgeLabel, e.Label, n).Set(gi)
-			a, b := g.NodeLabel(e.U), g.NodeLabel(e.V)
-			if a > b {
-				a, b = b, a
-			}
-			bitsetFor(nx.triples, triple{a, e.Label, b}, n).Set(gi)
-		}
+		fb.add(gi, g)
 	}
-	nx.sizeNodes = buildSizeClass(nx.numNodes)
-	nx.sizeEdges = buildSizeClass(nx.numEdges)
+	nx.finishDerived()
 	return nx
+}
+
+// finishDerived rebuilds everything derivable from the stored arrays and
+// bitsets without reading a graph: the size classes and the count
+// features' suffix classes.
+func (idx *Index) finishDerived() {
+	n := len(idx.numNodes)
+	idx.sizeNodes = buildSizeClass(idx.numNodes)
+	idx.sizeEdges = buildSizeClass(idx.numEdges)
+	idx.nodeCount.finish(n)
+	idx.tripleCount.finish(n)
+	idx.labelDegree.finish(n)
+}
+
+// tripleOf returns the normalized (endpoint labels ascending) triple of an
+// edge labeled e between nodes labeled a and b.
+func tripleOf(a, e, b string) triple {
+	if a > b {
+		a, b = b, a
+	}
+	return triple{a, e, b}
 }
 
 // bitsetFor returns m[key], first adding an empty n-bit bitset.
@@ -263,12 +296,73 @@ func appendDedup(dst []string, s string) []string {
 	return append(dst, s)
 }
 
+// queryLabel is one distinct non-wildcard node label of a query: how many
+// query nodes carry it and the largest degree among them.
+type queryLabel struct {
+	label         string
+	count, maxDeg int
+}
+
+// queryTriple is one distinct fully labeled triple of a query and how
+// many query edges form it.
+type queryTriple struct {
+	t     triple
+	count int
+}
+
+// queryFeatures returns the filter features of q: its distinct
+// non-wildcard node labels, edge labels and triples, with multiplicities.
+// Wildcards contribute nothing — a wildcard node still counts toward its
+// neighbors' degrees, which holds for any label it matches. Linear dedup:
+// query graphs are small, so this beats per-query maps.
+func queryFeatures(q *graph.Graph) (nodes []queryLabel, edges []string, trips []queryTriple) {
+	nodes = make([]queryLabel, 0, q.NumNodes())
+	edges = make([]string, 0, q.NumEdges())
+	trips = make([]queryTriple, 0, q.NumEdges())
+nodeLoop:
+	for v := 0; v < q.NumNodes(); v++ {
+		l, d := q.NodeLabel(v), q.Degree(v)
+		if l == isomorph.Wildcard {
+			continue
+		}
+		for i := range nodes {
+			if nodes[i].label == l {
+				nodes[i].count++
+				nodes[i].maxDeg = max(nodes[i].maxDeg, d)
+				continue nodeLoop
+			}
+		}
+		nodes = append(nodes, queryLabel{label: l, count: 1, maxDeg: d})
+	}
+edgeLoop:
+	for ei := 0; ei < q.NumEdges(); ei++ {
+		e := q.Edge(ei)
+		if e.Label != isomorph.Wildcard {
+			edges = appendDedup(edges, e.Label)
+		}
+		a, b := q.NodeLabel(e.U), q.NodeLabel(e.V)
+		if a == isomorph.Wildcard || b == isomorph.Wildcard || e.Label == isomorph.Wildcard {
+			continue
+		}
+		t := tripleOf(a, e.Label, b)
+		for i := range trips {
+			if trips[i].t == t {
+				trips[i].count++
+				continue edgeLoop
+			}
+		}
+		trips = append(trips, queryTriple{t: t, count: 1})
+	}
+	return nodes, edges, trips
+}
+
 // Candidates returns the corpus positions that pass every filter for q —
 // a superset of the true matches (no false dismissals). Wildcard labels
 // contribute no constraint. Filtering is pure bitset arithmetic: the size
-// suffix bitsets seed the candidate set, label/triple inverted bitsets are
-// ANDed in place, and the survivors are extracted with trailing-zero
-// scans. Returns nil when nothing survives.
+// suffix bitsets seed the candidate set; label and triple presence
+// bitsets and, where the query needs two or more, the count and degree
+// suffix bitsets are ANDed in place; the survivors are extracted with
+// trailing-zero scans. Returns nil when nothing survives.
 func (idx *Index) Candidates(q *graph.Graph) []int {
 	if idx.corpus.Len() == 0 {
 		return nil
@@ -280,7 +374,7 @@ func (idx *Index) Candidates(q *graph.Graph) []int {
 	cand := seed.Clone()
 	and := func(b pattern.Bitset, ok bool) bool {
 		if !ok {
-			// Constraint label absent from the whole corpus: no matches.
+			// No graph has the feature (or enough of it): no matches.
 			return false
 		}
 		zero := true
@@ -295,22 +389,16 @@ func (idx *Index) Candidates(q *graph.Graph) []int {
 	if !and(idx.sizeEdges.atLeast(q.NumEdges())) {
 		return nil
 	}
-	// Distinct query labels via slice dedup: no per-query label maps.
-	nodeLabels := make([]string, 0, q.NumNodes())
-	edgeLabels := make([]string, 0, q.NumEdges())
-	for v := 0; v < q.NumNodes(); v++ {
-		if l := q.NodeLabel(v); l != isomorph.Wildcard {
-			nodeLabels = appendDedup(nodeLabels, l)
-		}
-	}
-	for ei := 0; ei < q.NumEdges(); ei++ {
-		if l := q.EdgeLabel(ei); l != isomorph.Wildcard {
-			edgeLabels = appendDedup(edgeLabels, l)
-		}
-	}
-	for _, l := range nodeLabels {
-		b, ok := idx.nodeLabel[l]
+	nodes, edgeLabels, trips := queryFeatures(q)
+	for _, ql := range nodes {
+		b, ok := idx.nodeLabel[ql.label]
 		if !and(b, ok) {
+			return nil
+		}
+		if ql.count >= 2 && !and(idx.nodeCount.atLeast(ql.label, ql.count)) {
+			return nil
+		}
+		if ql.maxDeg >= 2 && !and(idx.labelDegree.atLeast(ql.label, ql.maxDeg)) {
 			return nil
 		}
 	}
@@ -320,17 +408,12 @@ func (idx *Index) Candidates(q *graph.Graph) []int {
 			return nil
 		}
 	}
-	for ei := 0; ei < q.NumEdges(); ei++ {
-		e := q.Edge(ei)
-		a, b := q.NodeLabel(e.U), q.NodeLabel(e.V)
-		if a == isomorph.Wildcard || b == isomorph.Wildcard || e.Label == isomorph.Wildcard {
-			continue
+	for _, qt := range trips {
+		b, ok := idx.triples[qt.t]
+		if !and(b, ok) {
+			return nil
 		}
-		if a > b {
-			a, b = b, a
-		}
-		tb, ok := idx.triples[triple{a, e.Label, b}]
-		if !and(tb, ok) {
+		if qt.count >= 2 && !and(idx.tripleCount.atLeast(qt.t, qt.count)) {
 			return nil
 		}
 	}
@@ -344,9 +427,11 @@ func (idx *Index) Candidates(q *graph.Graph) []int {
 	return out
 }
 
-// CandidatesReference is the pre-bitset-rewrite implementation of
-// Candidates, kept verbatim as the oracle the property tests and the K1
-// benchmark compare the fast path against.
+// CandidatesReference is the straightforward implementation of
+// Candidates, kept as the oracle the property tests and the K1 benchmark
+// compare the fast path against: sizes are scanned per graph, query
+// features are counted with maps, and the count and degree thresholds are
+// answered by ORing exact levels instead of reading suffix classes.
 func (idx *Index) CandidatesReference(q *graph.Graph) []int {
 	n := idx.corpus.Len()
 	// Start from all-ones and intersect constraint bitsets.
@@ -358,7 +443,7 @@ func (idx *Index) CandidatesReference(q *graph.Graph) []int {
 	}
 	intersect := func(b pattern.Bitset, ok bool) {
 		if !ok {
-			// Constraint label absent from the whole corpus: no matches.
+			// Feature absent from the whole corpus: no matches.
 			for i := range cand {
 				cand[i] = 0
 			}
@@ -368,12 +453,23 @@ func (idx *Index) CandidatesReference(q *graph.Graph) []int {
 			cand[i] &= b[i]
 		}
 	}
-	for l := range q.NodeLabels() {
+	maxDeg := map[string]int{}
+	for v := 0; v < q.NumNodes(); v++ {
+		l := q.NodeLabel(v)
+		maxDeg[l] = max(maxDeg[l], q.Degree(v))
+	}
+	for l, count := range q.NodeLabels() {
 		if l == isomorph.Wildcard {
 			continue
 		}
 		b, ok := idx.nodeLabel[l]
 		intersect(b, ok)
+		if count >= 2 {
+			intersect(idx.nodeCount.atLeastReference(l, count, n))
+		}
+		if maxDeg[l] >= 2 {
+			intersect(idx.labelDegree.atLeastReference(l, maxDeg[l], n))
+		}
 	}
 	for l := range q.EdgeLabels() {
 		if l == isomorph.Wildcard {
@@ -382,16 +478,20 @@ func (idx *Index) CandidatesReference(q *graph.Graph) []int {
 		b, ok := idx.edgeLabel[l]
 		intersect(b, ok)
 	}
+	tripleCount := map[triple]int{}
 	for _, e := range q.Edges() {
 		a, b := q.NodeLabel(e.U), q.NodeLabel(e.V)
 		if a == isomorph.Wildcard || b == isomorph.Wildcard || e.Label == isomorph.Wildcard {
 			continue
 		}
-		if a > b {
-			a, b = b, a
-		}
-		tb, ok := idx.triples[triple{a, e.Label, b}]
+		tripleCount[tripleOf(a, e.Label, b)]++
+	}
+	for t, count := range tripleCount {
+		tb, ok := idx.triples[t]
 		intersect(tb, ok)
+		if count >= 2 {
+			intersect(idx.tripleCount.atLeastReference(t, count, n))
+		}
 	}
 	var out []int
 	for i := 0; i < n; i++ {

@@ -1,19 +1,26 @@
 package gindex
 
 // Per-shard index sections: the serialized form of one shard's filter
-// index (label/triple inverted bitsets, size arrays) plus its similarity
-// vectors, persisted inside snapshot-format-v2 files so a restart can
-// restore shards instead of re-deriving them from every graph.
+// index (label/triple inverted bitsets, count-feature levels, size
+// arrays) plus its similarity vectors, persisted inside snapshot-format-v2
+// files so a restart can restore shards instead of re-deriving them from
+// every graph.
 //
 // What is and is not persisted follows from what is cheap to regenerate:
 //
-//   - Inverted bitsets and size arrays require touching every graph to
-//     rebuild — exactly the O(corpus) decode pass an mmap boot avoids —
-//     so they are stored verbatim.
-//   - The size-class suffix bitsets are derived from the size arrays in
-//     O(distinct sizes · corpus/64) without touching graphs; rebuilt.
+//   - Stored, because rebuilding them means touching every graph —
+//     exactly the O(corpus) decode pass an mmap boot avoids: the inverted
+//     presence bitsets, the size arrays, and the count features' exact
+//     levels (features.go; section version 2 added them).
+//   - Rebuilt from those arrays and bitsets without touching graphs: the
+//     size-class suffix bitsets, in O(distinct sizes · corpus/64), and the
+//     count features' suffix classes, in O(levels · corpus/64)
+//     (Index.finishDerived).
 //   - Per-graph VF2 label indexes are only needed for graphs that reach
 //     verification; left empty and filled lazily (Index.targetIndexFor).
+//   - Panel facet masks are only needed for graphs an answer matched;
+//     left empty and filled lazily (Index.maskFor). They depend on the
+//     serving panel, not on the corpus alone.
 //   - ANN state persists the embedding vectors plus each item's per-table
 //     LSH signatures: hyperplanes are a pure function of cfg.Seed so they
 //     regenerate for free, and with signatures on hand the hash tables
@@ -26,11 +33,12 @@ package gindex
 //
 // A section is opaque bytes to the store layer, which frames and
 // checksums it; decoding here still validates structure defensively
-// (word counts, trailing bits, graph counts) because a section that
-// passed its CRC can still disagree with the corpus it is restored
+// (word counts, trailing bits, graph counts, key order) because a section
+// that passed its CRC can still disagree with the corpus it is restored
 // against — e.g. after a shard-count change. Any mismatch falls back to
 // rebuilding that one shard from graphs; a section can cost time, never
-// correctness.
+// correctness. So does a section of another version: a version-1 section
+// (no count levels) is rebuilt, not restored.
 
 import (
 	"encoding/binary"
@@ -58,8 +66,8 @@ var (
 
 // sectionVersion is the per-shard section format version. Bump on any
 // layout change; RestoreSharded rebuilds shards whose version it does not
-// understand.
-const sectionVersion = 1
+// understand. Version 2 added the count-feature levels.
+const sectionVersion = 2
 
 // maxSectionLabels caps decoded map sizes, bounding what a structurally
 // valid but hostile length field can allocate.
@@ -76,16 +84,24 @@ func (e *senc) str(s string) {
 	e.b = binary.AppendUvarint(e.b, uint64(len(s)))
 	e.b = append(e.b, s...)
 }
+func (e *senc) triple(t triple) {
+	e.str(t.a)
+	e.str(t.e)
+	e.str(t.b)
+}
 func (e *senc) bitset(b pattern.Bitset) {
 	for _, w := range b {
 		e.u64(w)
 	}
 }
 
-// sdec is the matching sticky-error decoder.
+// sdec is the matching sticky-error decoder. Decoded strings are interned:
+// a label recurs in many keys (label maps, triples, count levels), and
+// each distinct one is copied out of the section once.
 type sdec struct {
-	b   []byte
-	err error
+	b    []byte
+	err  error
+	strs map[string]string
 }
 
 func (d *sdec) fail(what string) {
@@ -133,8 +149,16 @@ func (d *sdec) str() string {
 		d.fail("string")
 		return ""
 	}
-	s := string(d.b[k : k+int(n)])
+	raw := d.b[k : k+int(n)]
 	d.b = d.b[k+int(n):]
+	if s, ok := d.strs[string(raw)]; ok {
+		return s
+	}
+	if d.strs == nil {
+		d.strs = make(map[string]string)
+	}
+	s := string(raw)
+	d.strs[s] = s
 	return s
 }
 
@@ -142,12 +166,20 @@ func (d *sdec) str() string {
 // position >= n is set — a trailing set bit means the section was encoded
 // against a different corpus.
 func (d *sdec) bitset(n int) pattern.Bitset {
-	words := (n + 63) / 64
-	if d.err != nil || len(d.b) < 8*words {
-		d.fail("bitset")
+	b := make(pattern.Bitset, (n+63)/64)
+	if !d.bitsetInto(b, n) {
 		return nil
 	}
-	b := make(pattern.Bitset, words)
+	return b
+}
+
+// bitsetInto is bitset decoding into b, which holds ceil(n/64) words.
+func (d *sdec) bitsetInto(b pattern.Bitset, n int) bool {
+	words := len(b)
+	if d.err != nil || len(d.b) < 8*words {
+		d.fail("bitset")
+		return false
+	}
 	for i := range b {
 		b[i] = binary.LittleEndian.Uint64(d.b[8*i:])
 	}
@@ -155,10 +187,14 @@ func (d *sdec) bitset(n int) pattern.Bitset {
 	if words > 0 {
 		if tail := uint(n % 64); tail != 0 && b[words-1]>>tail != 0 {
 			d.fail("bitset (bits set past graph count)")
-			return nil
+			return false
 		}
 	}
-	return b
+	return true
+}
+
+func (d *sdec) triple() triple {
+	return triple{a: d.str(), e: d.str(), b: d.str()}
 }
 
 func (d *sdec) done() error {
@@ -169,6 +205,51 @@ func (d *sdec) done() error {
 		return fmt.Errorf("gindex: corrupt section: %d trailing bytes", len(d.b))
 	}
 	return nil
+}
+
+// writeLevels appends a count feature's exact levels in (key, value)
+// order: a count, then per level its key, value and bitset.
+func writeLevels[K comparable](e *senc, ci countIndex[K], less func(a, b K) bool, key func(*senc, K)) {
+	lvs := sortedLevels(ci, less)
+	e.u32(uint32(len(lvs)))
+	for _, lv := range lvs {
+		key(e, lv.key)
+		e.u32(uint32(lv.n))
+		e.bitset(ci.exact[lv])
+	}
+}
+
+// readLevels decodes what writeLevels wrote into a count feature over n
+// graphs, rejecting out-of-order or duplicate levels and values below 2
+// (which a build never stores).
+func readLevels[K comparable](d *sdec, n int, less func(a, b K) bool, key func(*sdec) K, what string) countIndex[K] {
+	count := int(d.u32())
+	words := (n + 63) / 64
+	// Every level takes at least a key length byte, a u32 and its words,
+	// which bounds what a hostile count can allocate.
+	if d.err == nil && (count > maxSectionLabels || count > len(d.b)/(5+8*words)) {
+		d.fail(what + " (count exceeds limit)")
+		count = 0
+	}
+	ci := countIndex[K]{exact: make(map[level[K]]pattern.Bitset, count)}
+	bits := carve(count, words)
+	var prev level[K]
+	for i := 0; i < count && d.err == nil; i++ {
+		lv := level[K]{key: key(d)}
+		lv.n = int(d.u32())
+		if d.err != nil {
+			break
+		}
+		if lv.n < 2 || (i > 0 && !levelLess(prev, lv, less)) {
+			d.fail(what + " (levels out of order)")
+			break
+		}
+		prev = lv
+		if d.bitsetInto(bits[i], n) {
+			ci.exact[lv] = bits[i]
+		}
+	}
+	return ci
 }
 
 // encodeSection serializes one shard's restorable state.
@@ -202,23 +283,15 @@ func encodeSection(core *shardCore, annEnabled bool, dim int) []byte {
 	for t := range idx.triples {
 		trs = append(trs, t)
 	}
-	sort.Slice(trs, func(i, j int) bool {
-		a, b := trs[i], trs[j]
-		if a.a != b.a {
-			return a.a < b.a
-		}
-		if a.e != b.e {
-			return a.e < b.e
-		}
-		return a.b < b.b
-	})
+	sort.Slice(trs, func(i, j int) bool { return tripleLess(trs[i], trs[j]) })
 	e.u32(uint32(len(trs)))
 	for _, t := range trs {
-		e.str(t.a)
-		e.str(t.e)
-		e.str(t.b)
+		e.triple(t)
 		e.bitset(idx.triples[t])
 	}
+	writeLevels(e, idx.nodeCount, stringLess, (*senc).str)
+	writeLevels(e, idx.tripleCount, tripleLess, (*senc).triple)
+	writeLevels(e, idx.labelDegree, stringLess, (*senc).str)
 	if annEnabled {
 		e.u8(1)
 		e.u32(uint32(dim))
@@ -279,6 +352,7 @@ func decodeSection(data []byte, sub *graph.Corpus, annCfg *ann.Config, emb *ann.
 		numNodes:  make([]int, n),
 		numEdges:  make([]int, n),
 		labelIdx:  make([]atomic.Pointer[isomorph.LabelIndex], n),
+		panelMask: make([]atomic.Pointer[panelMask], n),
 	}
 	for i := range idx.numNodes {
 		idx.numNodes[i] = int(d.u32())
@@ -313,13 +387,16 @@ func decodeSection(data []byte, sub *graph.Corpus, annCfg *ann.Config, emb *ann.
 		d.fail("triple map (count exceeds limit)")
 	}
 	for i := uint32(0); i < trCount && d.err == nil; i++ {
-		t := triple{a: d.str(), e: d.str(), b: d.str()}
+		t := d.triple()
 		if _, dup := idx.triples[t]; dup {
 			d.fail("triple map (duplicate key)")
 			break
 		}
 		idx.triples[t] = d.bitset(n)
 	}
+	idx.nodeCount = readLevels(d, n, stringLess, (*sdec).str, "node-count levels")
+	idx.tripleCount = readLevels(d, n, tripleLess, (*sdec).triple, "triple-count levels")
+	idx.labelDegree = readLevels(d, n, stringLess, (*sdec).str, "label-degree levels")
 	core := &shardCore{sub: sub, idx: idx}
 	hasANN := d.u8() == 1
 	if d.err == nil && hasANN != (annCfg != nil) {
@@ -355,8 +432,7 @@ func decodeSection(data []byte, sub *graph.Corpus, annCfg *ann.Config, emb *ann.
 	if err := d.done(); err != nil {
 		return nil, err
 	}
-	idx.sizeNodes = buildSizeClass(idx.numNodes)
-	idx.sizeEdges = buildSizeClass(idx.numEdges)
+	idx.finishDerived()
 	if hasANN {
 		cfg := annCfg.Resolved()
 		cfg.Workers = 1

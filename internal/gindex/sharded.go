@@ -28,9 +28,9 @@ package gindex
 //     which is what lets a serving layer swap indexes under concurrent
 //     queries without locking readers.
 //   - Epochs are the cache-invalidation currency: a serving layer keys
-//     whole answers and plans by the full epoch vector (qcache.EpochKey,
-//     qcache.PlanKey), so an update retires exactly the entries computed
-//     before it, with no Reset.
+//     whole answers by the full epoch vector (qcache.EpochKey), so an
+//     update retires exactly the entries computed before it, with no
+//     Reset.
 
 import (
 	"context"

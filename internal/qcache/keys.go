@@ -22,7 +22,8 @@ func ShardKey(base string, shard int, epoch uint64) string {
 // compile-config signature in base) against the full epoch vector: plans
 // bake in corpus-wide label statistics, so any shard rebuild invalidates
 // them. The "p|" prefix namespaces plans away from whole-query answers
-// cached under the same base.
+// cached under the same base. vqiserve caches no plans; vqibench's
+// in-process replica still uses this key.
 func PlanKey(base string, epochs []uint64) string {
 	return EpochKey("p|"+base, epochs)
 }

@@ -35,17 +35,24 @@ type Facet struct {
 // Patterns that match nothing produce no facet; graphs containing no panel
 // pattern are collected in rest. Facets are ordered by decreasing size.
 func Facets(matched []string, c *graph.Corpus, panel []*pattern.Pattern, opts isomorph.Options) (facets []Facet, rest []string) {
-	inFacet := make(map[string]bool)
-	for pi, p := range panel {
+	return Group(matched, len(panel), func(pi, mi int) bool {
+		g, ok := c.ByName(matched[mi])
+		return ok && isomorph.Exists(panel[pi].G, g, opts)
+	})
+}
+
+// Group is Facets over a containment relation decided elsewhere (e.g.
+// memoized by an index): contains(pi, mi) reports whether matched[mi]
+// contains panel pattern pi, for pi in [0, patterns). Facet order,
+// membership and name sorting are Facets' own.
+func Group(matched []string, patterns int, contains func(pi, mi int) bool) (facets []Facet, rest []string) {
+	inFacet := make([]bool, len(matched))
+	for pi := 0; pi < patterns; pi++ {
 		var members []string
-		for _, name := range matched {
-			g, ok := c.ByName(name)
-			if !ok {
-				continue
-			}
-			if isomorph.Exists(p.G, g, opts) {
+		for mi, name := range matched {
+			if contains(pi, mi) {
 				members = append(members, name)
-				inFacet[name] = true
+				inFacet[mi] = true
 			}
 		}
 		if len(members) > 0 {
@@ -59,8 +66,8 @@ func Facets(matched []string, c *graph.Corpus, panel []*pattern.Pattern, opts is
 		}
 		return facets[i].PatternIndex < facets[j].PatternIndex
 	})
-	for _, name := range matched {
-		if !inFacet[name] {
+	for mi, name := range matched {
+		if !inFacet[mi] {
 			rest = append(rest, name)
 		}
 	}

@@ -124,7 +124,8 @@ code="$(curl -s -o "$tmpdir/badplan.json" -w '%{http_code}' "http://$addr/api/qu
 [[ "$code" == 400 ]] && grep -q '"bad_plan"' "$tmpdir/badplan.json" \
   || { echo "?plan=decompose: got $code $(cat "$tmpdir/badplan.json"), want 400 bad_plan"; exit 1; }
 # The server runs -ann, so a forced ANN-first plan must report its
-# strategy and the trace must show the shortlist and verify stages.
+# strategy and the trace must show the shortlist and verify stages plus
+# the search and facet layer spans.
 plan_resp="$(curl -fsS "http://$addr/api/query?plan=ann" \
   -d '{"nodes":["C","C","C"],"edges":[{"u":0,"v":1,"label":"s"},{"u":1,"v":2,"label":"s"}]}')"
 grep -q '"strategy":"ann"' <<<"$plan_resp" \
@@ -133,6 +134,10 @@ grep -q '"plan.shortlist"' <<<"$plan_resp" \
   || { echo "?plan=ann trace missing the shortlist stage: $plan_resp"; exit 1; }
 grep -q '"plan.verify"' <<<"$plan_resp" \
   || { echo "?plan=ann trace missing the verify stage: $plan_resp"; exit 1; }
+grep -q '"gindex.search"' <<<"$plan_resp" \
+  || { echo "?plan=ann trace missing the search span: $plan_resp"; exit 1; }
+grep -q '"results.facets"' <<<"$plan_resp" \
+  || { echo "?plan=ann trace missing the facets span: $plan_resp"; exit 1; }
 kill "$server_pid" && wait "$server_pid" 2>/dev/null || true
 server_pid=""
 echo "query planner: OK"
